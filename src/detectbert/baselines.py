@@ -45,6 +45,14 @@ class BaselineParams:
         for _, p in self.named_parameters():
             p.zero_grad()
 
+    def logit(self, bag: Bag, epoch_seed: int | None = None) -> Tensor:
+        """The bag's logit; without an epoch seed (evaluation) selection uses ``eval_seed``."""
+        return baseline_forward(bag, self, self.eval_seed if epoch_seed is None else epoch_seed)
+
+    def checkpoint_meta(self) -> dict:
+        """The checkpoint header's key=value metadata, in file order."""
+        return {"kind": self.kind, "d": self.d, "eval_seed": self.eval_seed}
+
 
 def init_baseline(kind: str, d: int, seed: int) -> BaselineParams:
     rng = derive_rng(seed, "init", "head_weights")
@@ -54,6 +62,11 @@ def init_baseline(kind: str, d: int, seed: int) -> BaselineParams:
         head_bias=Tensor(np.zeros((1, 1)), requires_grad=True),
         eval_seed=seed,
     )
+
+
+def baseline_from_meta(meta: dict) -> BaselineParams:
+    """Baseline parameters shaped as checkpoint metadata declares, to be overwritten on load."""
+    return init_baseline(meta["kind"], int(meta["d"]), seed=int(meta.get("eval_seed", 0)))
 
 
 def select_index(app_id: str, n: int, seed: int) -> int:

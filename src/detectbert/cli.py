@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .data import (
@@ -21,8 +22,8 @@ from .data import (
     load_bags,
     load_manifest,
 )
-from .model import ModelConfig, load_checkpoint, save_checkpoint
-from .numerics import DEFAULT_PINV_ITERS
+from .baselines import init_baseline
+from .model import ModelConfig, init_params, load_checkpoint, save_checkpoint
 from .training import (
     TrainConfig,
     evaluate,
@@ -35,39 +36,44 @@ from .training import (
 )
 from .verify import run_attention_suite, run_entropy_suite, run_gradcheck_suite
 
-MODEL_FLAG_TO_KIND = {
-    "detectbert": "detectbert",
-    "baseline-random": "random_selection",
-    "baseline-addition": "elementwise_addition",
-    "baseline-average": "elementwise_average",
+
+def _baseline(kind):
+    return lambda model_config, seed: init_baseline(kind, model_config.d, seed)
+
+
+# --model flag -> fresh parameters from (ModelConfig, seed)
+MODELS = {
+    "detectbert": init_params,
+    "baseline-random": _baseline("random_selection"),
+    "baseline-addition": _baseline("elementwise_addition"),
+    "baseline-average": _baseline("elementwise_average"),
 }
 
-SYNTH_DEFAULTS = {
-    "bags": 100,
-    "dim": 32,
-    "bag_size_min": 20,
-    "bag_size_max": 200,
-    "witness_rate": 0.05,
-    "signal_shift": 10.0,
-    "correlation_strength": 0.2,
-    "positive_fraction": 0.4,
-    "seed": 0,
-}
+# Setting names (flags, config-file keys) that differ from their dataclass field.
+SETTING_NAMES = {"num_bags": "bags", "d": "dim", "num_blocks": "blocks"}
+# The ModelConfig fields a training command exposes; d comes from the data.
+MODEL_SETTINGS = ("num_blocks", "heads", "landmarks", "pinv_iters")
+
+
+def _setting(f) -> str:
+    return SETTING_NAMES.get(f.name, f.name)
+
+
+def _field_defaults(cls, names=None) -> dict:
+    return {_setting(f): f.default for f in fields(cls) if names is None or f.name in names}
+
+
+def _from_settings(cls, settings: dict, **fixed):
+    """Build ``cls`` from every field that has a setting, plus ``fixed`` values."""
+    kwargs = {f.name: settings[_setting(f)] for f in fields(cls) if _setting(f) in settings}
+    return cls(**{**kwargs, **fixed})
+
 
 TRAIN_DEFAULTS = {
     "model": "detectbert",
-    "epochs": 20,
-    "learning_rate": 1e-4,
-    "lookahead_k": 5,
-    "lookahead_alpha": 0.5,
-    "batch_size": 1,
-    "seed": 0,
-    "threshold": 0.5,
     "repetition": 0,
-    "blocks": 2,
-    "heads": 8,
-    "landmarks": 64,
-    "pinv_iters": DEFAULT_PINV_ITERS,
+    **_field_defaults(TrainConfig),
+    **_field_defaults(ModelConfig, MODEL_SETTINGS),
 }
 
 
@@ -115,24 +121,14 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _train_configs(s: dict, d: int):
-    tc = TrainConfig(
-        learning_rate=s["learning_rate"],
-        epochs=s["epochs"],
-        lookahead_k=s["lookahead_k"],
-        lookahead_alpha=s["lookahead_alpha"],
-        batch_size=s["batch_size"],
-        seed=s["seed"],
-        threshold=s["threshold"],
+def _train_model(settings: dict, manifest, plan):
+    """Train the ``--model`` choice on the plan's train split; returns the TrainResult."""
+    tc = _from_settings(TrainConfig, settings)
+    mc = _from_settings(ModelConfig, settings, d=_manifest_dim(manifest))
+    params = MODELS[settings["model"]](mc, tc.seed)
+    return train(
+        tc, load_bags(manifest, plan.train), load_bags(manifest, plan.validation), params
     )
-    mc = ModelConfig(
-        d=d,
-        num_blocks=s["blocks"],
-        heads=s["heads"],
-        landmarks=s["landmarks"],
-        pinv_iters=s["pinv_iters"],
-    )
-    return tc, mc
 
 
 def _write_history(history, path: Path):
@@ -163,8 +159,12 @@ def _write_split(plan, manifest, path: Path):
 def _read_split(path: Path) -> dict:
     roles = {"train": [], "validation": [], "test": []}
     lines = Path(path).read_text().splitlines()
-    for line in lines[1:]:
+    for lineno, line in enumerate(lines[1:], start=2):
         idx, _, role = line.split(",")
+        if role not in roles:
+            raise ValueError(
+                f"{path}:{lineno}: unknown role {role!r}; expected one of {sorted(roles)}"
+            )
         roles[role].append(int(idx))
     return roles
 
@@ -179,20 +179,9 @@ def _manifest_dim(manifest) -> int:
 
 
 def cmd_gen_synth(args) -> int:
-    settings = resolve_settings(SYNTH_DEFAULTS, args)
+    settings = resolve_settings(_field_defaults(SynthConfig), args)
     out = _out_dir(args)
-    config = SynthConfig(
-        num_bags=settings["bags"],
-        d=settings["dim"],
-        bag_size_min=settings["bag_size_min"],
-        bag_size_max=settings["bag_size_max"],
-        witness_rate=settings["witness_rate"],
-        signal_shift=settings["signal_shift"],
-        correlation_strength=settings["correlation_strength"],
-        positive_fraction=settings["positive_fraction"],
-        seed=settings["seed"],
-    )
-    manifest = gen_synthetic(config, out)
+    manifest = gen_synthetic(_from_settings(SynthConfig, settings), out)
     write_resolved_config(settings, out)
     stats = dataset_stats(manifest)
     print(f"wrote {stats['num_apps']} bags to {out}")
@@ -205,11 +194,7 @@ def cmd_train(args) -> int:
     out = _out_dir(args)
     manifest = load_manifest(args.manifest)
     plan = split_shuffled(manifest, settings["seed"], settings["repetition"])
-    tc, mc = _train_configs(settings, _manifest_dim(manifest))
-    kind = MODEL_FLAG_TO_KIND[settings["model"]]
-    train_bags = load_bags(manifest, plan.train)
-    val_bags = load_bags(manifest, plan.validation)
-    result = train(tc, train_bags, val_bags, kind=kind, model_config=mc)
+    result = _train_model(settings, manifest, plan)
     save_checkpoint(result.params, out / "checkpoint.dbck")
     _write_history(result.history, out / "history.csv")
     _write_split(plan, manifest, out / "split.csv")
@@ -223,14 +208,13 @@ def cmd_evaluate(args) -> int:
     out = _out_dir(args)
     manifest = load_manifest(args.manifest)
     params = load_checkpoint(args.checkpoint)
-    kind = getattr(params, "kind", "detectbert")
     if args.split_file:
         indices = _read_split(Path(args.split_file))[args.subset]
     else:
         indices = range(len(manifest.records))
     bags = load_bags(manifest, indices)
     threshold = args.threshold if args.threshold is not None else 0.5
-    metrics, per_app = evaluate(params, bags, kind=kind, threshold=threshold)
+    metrics, per_app = evaluate(params, bags, threshold)
     (out / "scores.csv").write_text(format_per_app(per_app))
     (out / "metrics.txt").write_text(format_metrics_block(metrics))
     write_resolved_config(
@@ -246,33 +230,21 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _run_one_protocol_rep(manifest, plan, settings, kind):
-    tc, mc = _train_configs(settings, _manifest_dim(manifest))
-    result = train(
-        tc,
-        load_bags(manifest, plan.train),
-        load_bags(manifest, plan.validation),
-        kind=kind,
-        model_config=mc,
-    )
-    metrics, per_app = evaluate(
-        result.params, load_bags(manifest, plan.test), kind=kind,
-        threshold=settings["threshold"],
-    )
-    return result, metrics, per_app
+def _run_one_protocol_rep(manifest, plan, settings):
+    result = _train_model(settings, manifest, plan)
+    return evaluate(result.params, load_bags(manifest, plan.test), settings["threshold"])
 
 
 def cmd_protocol_shuffled(args) -> int:
     settings = resolve_settings({**TRAIN_DEFAULTS, "repetitions": 10}, args)
     out = _out_dir(args)
     manifest = load_manifest(args.manifest)
-    kind = MODEL_FLAG_TO_KIND[settings["model"]]
     all_metrics = []
     report = []
     for rep in range(settings["repetitions"]):
         rep_settings = {**settings, "repetition": rep}
         plan = split_shuffled(manifest, settings["seed"], rep)
-        _, metrics, per_app = _run_one_protocol_rep(manifest, plan, rep_settings, kind)
+        metrics, per_app = _run_one_protocol_rep(manifest, plan, rep_settings)
         (out / f"rep{rep}_scores.csv").write_text(format_per_app(per_app))
         report.append(f"[repetition {rep}]\n" + format_metrics_block(metrics))
         all_metrics.append(metrics)
@@ -291,9 +263,8 @@ def cmd_protocol_temporal(args) -> int:
     settings = resolve_settings(TRAIN_DEFAULTS, args)
     out = _out_dir(args)
     manifest = load_manifest(args.manifest)
-    kind = MODEL_FLAG_TO_KIND[settings["model"]]
     plan = split_temporal(manifest)
-    _, metrics, per_app = _run_one_protocol_rep(manifest, plan, settings, kind)
+    metrics, per_app = _run_one_protocol_rep(manifest, plan, settings)
     (out / "scores.csv").write_text(format_per_app(per_app))
     proportions = (
         f"train_fraction={plan.train_fraction:.2f}\n"
@@ -315,8 +286,7 @@ def cmd_compare_baselines(args) -> int:
     lines = ["model,accuracy,precision,recall,f1"]
     report = []
     for flag in ("baseline-random", "baseline-addition", "baseline-average", "detectbert"):
-        kind = MODEL_FLAG_TO_KIND[flag]
-        _, metrics, _ = _run_one_protocol_rep(manifest, plan, settings, kind)
+        metrics, _ = _run_one_protocol_rep(manifest, plan, {**settings, "model": flag})
         lines.append(
             f"{flag},{metrics.accuracy:.2f},{metrics.precision:.2f},"
             f"{metrics.recall:.2f},{metrics.f1:.2f}"
@@ -385,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
         add_common(p)
         p.add_argument("--manifest", required=True)
         p.add_argument("--out", required=True)
-        p.add_argument("--model", choices=sorted(MODEL_FLAG_TO_KIND), default=None)
+        p.add_argument("--model", choices=sorted(MODELS), default=None)
         p.add_argument("--epochs", type=int, default=None)
         p.add_argument("--learning-rate", dest="learning_rate", type=float, default=None)
         p.add_argument("--lookahead-k", dest="lookahead_k", type=int, default=None)

@@ -88,8 +88,6 @@ class ModelConfig:
     heads: int = 8
     landmarks: int = 64
     pinv_iters: int = DEFAULT_PINV_ITERS
-    head_hidden: int = 0
-    category_scale: float = 1.0
     ln_eps: float = 1e-5
 
     def __post_init__(self):
@@ -97,6 +95,8 @@ class ModelConfig:
             raise ValueError(f"width must be positive, got {self.d}")
         if self.num_blocks < 1:
             raise ValueError(f"num_blocks must be >= 1, got {self.num_blocks}")
+        if self.heads < 1:
+            raise ValueError(f"heads must be >= 1, got {self.heads}")
         if self.d % self.heads != 0:
             raise ValueError(f"width {self.d} not divisible by heads={self.heads}")
 
@@ -117,8 +117,6 @@ class ModelParams:
     final_ln_beta: Tensor
     head_weights: Tensor
     head_bias: Tensor
-    hidden_weights: Tensor | None = None
-    hidden_bias: Tensor | None = None
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
         out = [("category_vector", self.category_vector)]
@@ -131,9 +129,6 @@ class ModelParams:
             out.append((f"block{i}.w_o", blk.attention.w_o))
         out.append(("final_ln_gamma", self.final_ln_gamma))
         out.append(("final_ln_beta", self.final_ln_beta))
-        if self.hidden_weights is not None:
-            out.append(("hidden_weights", self.hidden_weights))
-            out.append(("hidden_bias", self.hidden_bias))
         out.append(("head_weights", self.head_weights))
         out.append(("head_bias", self.head_bias))
         return out
@@ -142,15 +137,34 @@ class ModelParams:
         for _, p in self.named_parameters():
             p.zero_grad()
 
+    def logit(self, bag: Bag, epoch_seed: int | None = None) -> Tensor:
+        """The bag's logit; the attention head draws nothing at random, so the seed is unused."""
+        return forward(bag, self)
+
+    def checkpoint_meta(self) -> dict:
+        """The checkpoint header's key=value metadata, in file order."""
+        cfg = self.config
+        return {
+            "kind": "detectbert",
+            "d": cfg.d,
+            "num_blocks": cfg.num_blocks,
+            "heads": cfg.heads,
+            "landmarks": cfg.landmarks,
+            "pinv_iters": cfg.pinv_iters,
+            # constant, but written so that checkpoints stay readable by older readers
+            "head_hidden": 0,
+            "category_scale": "1.0",
+            "ln_eps": repr(cfg.ln_eps),
+        }
+
 
 def init_params(config: ModelConfig, seed: int) -> ModelParams:
     """Draw fresh parameters, fully deterministic given the seed.
 
-    The category vector is standard normal (scaled by ``category_scale``),
-    projection and head weights are normal with standard deviation 0.02,
-    layer-norm gains start at one and every bias at zero.  Each tensor has
-    its own named random stream, so two models with the same seed match
-    bitwise parameter by parameter.
+    The category vector is standard normal, projection and head weights
+    are normal with standard deviation 0.02, layer-norm gains start at one
+    and every bias at zero.  Each tensor has its own named random stream,
+    so two models with the same seed match bitwise parameter by parameter.
     """
 
     def normal(name, rows, cols, std):
@@ -176,23 +190,14 @@ def init_params(config: ModelConfig, seed: int) -> ModelParams:
             BlockParams(ln_gamma=const(1.0, 1, d), ln_beta=const(0.0, 1, d), attention=attn)
         )
 
-    hidden_w = hidden_b = None
-    head_in = d
-    if config.head_hidden > 0:
-        hidden_w = normal("hidden_weights", d, config.head_hidden, PROJECTION_STD)
-        hidden_b = const(0.0, 1, config.head_hidden)
-        head_in = config.head_hidden
-
     return ModelParams(
         config=config,
-        category_vector=normal("category_vector", 1, d, config.category_scale),
+        category_vector=normal("category_vector", 1, d, 1.0),
         blocks=blocks,
         final_ln_gamma=const(1.0, 1, d),
         final_ln_beta=const(0.0, 1, d),
-        head_weights=normal("head_weights", head_in, 1, PROJECTION_STD),
+        head_weights=normal("head_weights", d, 1, PROJECTION_STD),
         head_bias=const(0.0, 1, 1),
-        hidden_weights=hidden_w,
-        hidden_bias=hidden_b,
     )
 
 
@@ -213,8 +218,6 @@ def forward(bag: Bag, params: ModelParams) -> Tensor:
         x = nm.add(multi_head_nystrom(normed, blk.attention), x)
     category = nm.slice_rows(x, 0, 1)
     z = nm.layer_norm(category, params.final_ln_gamma, params.final_ln_beta, cfg.ln_eps)
-    if params.hidden_weights is not None:
-        z = nm.relu(nm.add(nm.matmul(z, params.hidden_weights), params.hidden_bias))
     return nm.add(nm.matmul(z, params.head_weights), params.head_bias)
 
 
@@ -252,37 +255,14 @@ def _write_tensor(buf, name: str, value: np.ndarray):
 
 
 def save_checkpoint(params, path):
-    """Write parameters to ``path``; the round-trip is bit-exact."""
-    from .baselines import BaselineParams
-
+    """Write attention-head or baseline parameters to ``path``; the round-trip is bit-exact."""
     buf = io.BytesIO()
     buf.write(CHECKPOINT_MAGIC)
     buf.write(struct.pack("<I", CHECKPOINT_VERSION))
-    if isinstance(params, BaselineParams):
-        meta = {
-            "kind": params.kind,
-            "d": params.head_weights.rows,
-            "eval_seed": params.eval_seed,
-        }
-        named = params.named_parameters()
-    else:
-        cfg = params.config
-        meta = {
-            "kind": "detectbert",
-            "d": cfg.d,
-            "num_blocks": cfg.num_blocks,
-            "heads": cfg.heads,
-            "landmarks": cfg.landmarks,
-            "pinv_iters": cfg.pinv_iters,
-            "head_hidden": cfg.head_hidden,
-            "category_scale": repr(cfg.category_scale),
-            "ln_eps": repr(cfg.ln_eps),
-        }
-        named = params.named_parameters()
-    meta_bytes = _meta_lines(meta)
+    meta_bytes = _meta_lines(params.checkpoint_meta())
     buf.write(struct.pack("<I", len(meta_bytes)))
     buf.write(meta_bytes)
-    for name, tensor in named:
+    for name, tensor in params.named_parameters():
         _write_tensor(buf, name, tensor.value)
     with open(path, "wb") as f:
         f.write(buf.getvalue())
@@ -307,6 +287,24 @@ def _parse_meta(meta_bytes: bytes) -> dict:
     return meta
 
 
+def _params_from_meta(meta: dict) -> ModelParams:
+    """Freshly initialized attention-head parameters shaped as ``meta`` declares."""
+    if int(meta.get("head_hidden", 0)) != 0 or float(meta.get("category_scale", 1.0)) != 1.0:
+        raise CheckpointError(
+            "checkpoint declares a hidden head layer or a scaled category vector, "
+            "which this version does not support"
+        )
+    cfg = ModelConfig(
+        d=int(meta["d"]),
+        num_blocks=int(meta["num_blocks"]),
+        heads=int(meta["heads"]),
+        landmarks=int(meta["landmarks"]),
+        pinv_iters=int(meta["pinv_iters"]),
+        ln_eps=float(meta.get("ln_eps", 1e-5)),
+    )
+    return init_params(cfg, seed=0)
+
+
 def load_checkpoint(path):
     """Read a checkpoint written by :func:`save_checkpoint`.
 
@@ -314,8 +312,9 @@ def load_checkpoint(path):
     truncated file, and a tensor name the declared configuration does not
     expect.
     """
-    from .baselines import BaselineParams, init_baseline
+    from .baselines import BASELINE_KINDS, baseline_from_meta
 
+    loaders = {"detectbert": _params_from_meta, **dict.fromkeys(BASELINE_KINDS, baseline_from_meta)}
     with open(path, "rb") as f:
         magic = _read_exact(f, 4, "magic")
         if magic != CHECKPOINT_MAGIC:
@@ -329,21 +328,9 @@ def load_checkpoint(path):
         meta = _parse_meta(_read_exact(f, meta_len, "metadata"))
 
         kind = meta.get("kind", "detectbert")
-        if kind == "detectbert":
-            cfg = ModelConfig(
-                d=int(meta["d"]),
-                num_blocks=int(meta["num_blocks"]),
-                heads=int(meta["heads"]),
-                landmarks=int(meta["landmarks"]),
-                pinv_iters=int(meta["pinv_iters"]),
-                head_hidden=int(meta.get("head_hidden", 0)),
-                category_scale=float(meta.get("category_scale", 1.0)),
-                ln_eps=float(meta.get("ln_eps", 1e-5)),
-            )
-            params = init_params(cfg, seed=0)
-        else:
-            params = init_baseline(kind, int(meta["d"]), seed=0)
-            params.eval_seed = int(meta.get("eval_seed", 0))
+        if kind not in loaders:
+            raise CheckpointError(f"unknown model kind {kind!r} in checkpoint")
+        params = loaders[kind](meta)
         expected = dict(params.named_parameters())
 
         seen = set()

@@ -305,12 +305,6 @@ def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
     return make_node(a.value[:, start:stop].copy(), (a,), vjp)
 
 
-def relu(a: Tensor) -> Tensor:
-    a = as_tensor(a)
-    mask = a.value > 0
-    return make_node(np.where(mask, a.value, 0.0), (a,), lambda g: (g * mask,))
-
-
 def softmax_rows(m: Tensor) -> Tensor:
     """Row-wise softmax with per-row max subtraction for stability."""
     m = as_tensor(m)

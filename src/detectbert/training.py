@@ -16,12 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .baselines import BASELINE_KINDS, BaselineParams, baseline_forward, init_baseline
-from .model import Bag, ModelConfig, forward, init_params, logistic
+from .model import Bag, logistic
 from .numerics import Tensor, make_node, no_grad
 from .seeding import derive_rng, derive_seed
-
-MODEL_KINDS = ("detectbert",) + BASELINE_KINDS
 
 
 class TrainingDivergedError(RuntimeError):
@@ -34,9 +31,6 @@ class TrainConfig:
     epochs: int = 20
     lookahead_k: int = 5
     lookahead_alpha: float = 0.5
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     batch_size: int = 1
     seed: int = 0
     threshold: float = 0.5
@@ -282,45 +276,24 @@ def split_temporal(manifest) -> SplitPlan:
 @dataclass
 class TrainResult:
     params: object
-    kind: str
     best_epoch: int
     best_f1: float
     history: list[dict] = field(default_factory=list)
 
 
-def _model_forward(kind: str, params, bag: Bag, epoch_seed: int) -> Tensor:
-    if kind == "detectbert":
-        return forward(bag, params)
-    return baseline_forward(bag, params, epoch_seed)
+def train(config: TrainConfig, train_bags: list[Bag], val_bags: list[Bag], params) -> TrainResult:
+    """Run the epoch loop from ``params`` and return the best-validation-F1 parameters.
 
-
-def _init_for_kind(kind: str, model_config: ModelConfig, seed: int):
-    if kind == "detectbert":
-        return init_params(model_config, seed)
-    if kind in BASELINE_KINDS:
-        return init_baseline(kind, model_config.d, seed)
-    raise ValueError(f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}")
-
-
-def train(
-    config: TrainConfig,
-    train_bags: list[Bag],
-    val_bags: list[Bag],
-    kind: str = "detectbert",
-    model_config: ModelConfig | None = None,
-) -> TrainResult:
-    """Run the epoch loop and return the best-validation-F1 parameters.
-
-    Fully deterministic given the config seed: initialization, per-epoch
-    bag order, and baseline instance redraws all derive from it by name.
+    ``params`` is the attention head's or a baseline's freshly initialized
+    parameters (anything with ``logit``, ``named_parameters`` and
+    ``zero_grads``); it is updated in place.  Fully deterministic given the
+    config seed: per-epoch bag order and baseline instance redraws derive
+    from it by name.
     """
     if not train_bags:
         raise ValueError("training split is empty")
-    if model_config is None:
-        model_config = ModelConfig(d=train_bags[0].dim)
-    params = _init_for_kind(kind, model_config, config.seed)
     named = params.named_parameters()
-    adam = Adam(config.beta1, config.beta2, config.adam_eps)
+    adam = Adam()
     lookahead = Lookahead(named, config.lookahead_k, config.lookahead_alpha)
 
     best_params = copy.deepcopy(params)
@@ -335,7 +308,7 @@ def train(
         params.zero_grads()
         for step_idx, bag_idx in enumerate(order):
             bag = train_bags[int(bag_idx)]
-            loss = bce_loss(_model_forward(kind, params, bag, epoch_seed), bag.label)
+            loss = bce_loss(params.logit(bag, epoch_seed), bag.label)
             value = loss.item()
             if not math.isfinite(value):
                 raise TrainingDivergedError(
@@ -355,7 +328,7 @@ def train(
                 pending = 0
         record = {"epoch": epoch, "train_loss": loss_sum / len(train_bags)}
         if val_bags:
-            val_metrics, _ = evaluate(params, val_bags, kind, config.threshold)
+            val_metrics, _ = evaluate(params, val_bags, config.threshold)
             record.update({f"val_{k}": v for k, v in val_metrics.as_dict().items()})
             f1 = val_metrics.f1
         else:
@@ -368,20 +341,19 @@ def train(
     if best_epoch < 0:
         best_params, best_epoch, best_f1 = copy.deepcopy(params), config.epochs - 1, 0.0
     best_params.zero_grads()
-    return TrainResult(
-        params=best_params, kind=kind, best_epoch=best_epoch, best_f1=best_f1, history=history
-    )
+    return TrainResult(params=best_params, best_epoch=best_epoch, best_f1=best_f1, history=history)
 
 
-def evaluate(params, bags: list[Bag], kind: str = "detectbert", threshold: float = 0.5):
+def evaluate(params, bags: list[Bag], threshold: float = 0.5):
     """Score every bag; returns (Metrics, per-app records ordered by app id)."""
     if not bags:
         raise ValueError("evaluation split is empty")
-    eval_seed = params.eval_seed if isinstance(params, BaselineParams) else 0
+    if not 0.0 < threshold < 1.0:
+        raise ValueError(f"threshold must be in (0, 1), got {threshold}")
     per_app = []
     with no_grad():
         for bag in bags:
-            logit = _model_forward(kind, params, bag, eval_seed).item()
+            logit = params.logit(bag).item()
             score = logistic(logit)
             per_app.append(
                 {

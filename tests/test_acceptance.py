@@ -201,9 +201,14 @@ class TestAcceptance:
                          lookahead_alpha=0.5, seed=7)
         mc = ModelConfig(d=32, heads=4, landmarks=32, pinv_iters=6)
         f1 = {}
-        for kind in ("random_selection", "elementwise_average", "detectbert"):
-            result = train(tc, train_bags, val_bags, kind=kind, model_config=mc)
-            metrics, _ = evaluate(result.params, test_bags, kind=kind)
+        models = {
+            "random_selection": init_baseline("random_selection", mc.d, tc.seed),
+            "elementwise_average": init_baseline("elementwise_average", mc.d, tc.seed),
+            "detectbert": init_params(mc, tc.seed),
+        }
+        for kind, params in models.items():
+            result = train(tc, train_bags, val_bags, params)
+            metrics, _ = evaluate(result.params, test_bags)
             f1[kind] = metrics.f1
         elapsed = time.perf_counter() - t0
 

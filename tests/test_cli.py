@@ -139,6 +139,49 @@ class TestTrainEvaluate:
         assert "error" in capsys.readouterr().err
 
 
+def single_error_line(capsys) -> str:
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    return err[0]
+
+
+class TestRejectedInputs:
+    def test_zero_heads_is_an_error_not_a_traceback(self, dataset, tmp_path, capsys):
+        code = run(["train", "--manifest", dataset / "manifest.csv", "--out", tmp_path / "r",
+                    "--epochs", "1", "--heads", "0"])
+        assert code == 1
+        assert "heads must be >= 1" in single_error_line(capsys)
+
+    def test_evaluate_threshold_outside_unit_interval(self, dataset, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        run(["train", "--manifest", dataset / "manifest.csv", "--out", run_dir,
+             "--model", "baseline-average"] + FAST)
+        capsys.readouterr()
+        for threshold in ("1.5", "0", "1"):
+            code = run(["evaluate", "--manifest", dataset / "manifest.csv",
+                        "--checkpoint", run_dir / "checkpoint.dbck",
+                        "--out", tmp_path / "e", "--threshold", threshold])
+            assert code == 1
+            assert "threshold must be in (0, 1)" in single_error_line(capsys)
+        assert not (tmp_path / "e" / "scores.csv").exists()
+
+    def test_unknown_split_role_names_file_and_line(self, dataset, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        run(["train", "--manifest", dataset / "manifest.csv", "--out", run_dir,
+             "--model", "baseline-average"] + FAST)
+        split = run_dir / "split.csv"
+        lines = split.read_text().splitlines()
+        lines[3] = lines[3].rsplit(",", 1)[0] + ",testing"
+        split.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = run(["evaluate", "--manifest", dataset / "manifest.csv",
+                    "--checkpoint", run_dir / "checkpoint.dbck", "--out", tmp_path / "e",
+                    "--split-file", split])
+        assert code == 1
+        line = single_error_line(capsys)
+        assert f"{split}:4:" in line and "'testing'" in line
+
+
 class TestProtocols:
     def test_shuffled_reports_means(self, dataset, tmp_path, capsys):
         out = tmp_path / "shuf"

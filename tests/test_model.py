@@ -23,7 +23,7 @@ from detectbert.model import (
     save_checkpoint,
 )
 from detectbert.numerics import ShapeError, Tensor
-from detectbert.verify import gradcheck
+from detectbert.verify import gradcheck, scaled_model_params
 
 
 def make_bag(rng, n=5, d=8, label=1, app_id="app-1"):
@@ -149,11 +149,9 @@ class TestForward:
         assert params.category_vector.grad is not None
 
     def test_gradcheck_small_model(self):
-        from conftest import randomize_params
-
         rng = np.random.default_rng(5)
         cfg = ModelConfig(d=4, num_blocks=2, heads=2, landmarks=16)
-        params = randomize_params(init_params(cfg, seed=11), seed=12)
+        params = scaled_model_params(cfg, seed=12)
         bag = make_bag(rng, n=3, d=4)
         tensors = [p for _, p in params.named_parameters()]
         err = gradcheck(lambda: forward(bag, params), tensors, step=1e-5)
@@ -250,6 +248,27 @@ class TestCheckpoints:
         loaded = load_checkpoint(path)
         with pytest.raises(ShapeError):
             forward(make_bag(rng, n=3, d=16), loaded)
+
+    @pytest.mark.parametrize(
+        "old, new, error",
+        [
+            (b"head_hidden=0", b"head_hidden=5", CheckpointError),
+            (b"category_scale=1.0", b"category_scale=2.0", CheckpointError),
+            (b"heads=2", b"heads=0", ValueError),
+            (b"kind=detectbert", b"kind=detectbertx", CheckpointError),
+        ],
+    )
+    def test_unsupported_metadata_rejected(self, tmp_path, old, new, error):
+        path = tmp_path / "model.dbck"
+        save_checkpoint(init_params(ModelConfig(d=4, heads=2), seed=0), path)
+        raw = path.read_bytes()
+        meta_len = int.from_bytes(raw[8:12], "little")
+        meta = raw[12:12 + meta_len]
+        assert meta.count(old) == 1
+        meta = meta.replace(old, new)
+        path.write_bytes(raw[:8] + len(meta).to_bytes(4, "little") + meta + raw[12 + meta_len:])
+        with pytest.raises(error):
+            load_checkpoint(path)
 
     def test_baseline_roundtrip(self, tmp_path):
         from detectbert.baselines import init_baseline

@@ -259,12 +259,6 @@ class TestBackwardRules:
 
         self.check(build, [a, b])
 
-    def test_relu(self):
-        rng = np.random.default_rng(23)
-        a = Tensor(rng.standard_normal((4, 4)) + 0.05, requires_grad=True)
-        w = rng.standard_normal((4, 4))
-        self.check(lambda: weighted_loss(nm.relu(a), w), [a])
-
     def test_softmax_rows(self):
         rng = np.random.default_rng(24)
         a = Tensor(rng.standard_normal((3, 5)), requires_grad=True)

@@ -8,7 +8,7 @@ import pytest
 
 from detectbert.baselines import aggregate, init_baseline
 from detectbert.data import DatasetManifest, ManifestRecord
-from detectbert.model import Bag, ModelConfig, logistic
+from detectbert.model import Bag, ModelConfig, init_params, logistic
 from detectbert.numerics import Tensor
 from detectbert.seeding import derive_seed
 from detectbert.training import (
@@ -263,8 +263,7 @@ class TestTrainLoop:
         rng = np.random.default_rng(1)
         bags = make_bags(rng, 6, d=4)
         config = TrainConfig(learning_rate=0.0, epochs=2, seed=3)
-        result = train(config, bags, bags[:2], kind="elementwise_average",
-                       model_config=ModelConfig(d=4, heads=2))
+        result = train(config, bags, bags[:2], init_baseline("elementwise_average", 4, seed=3))
         fresh = init_baseline("elementwise_average", 4, seed=3)
         assert (result.params.head_weights.value == fresh.head_weights.value).all()
         assert (result.params.head_bias.value == fresh.head_bias.value).all()
@@ -274,15 +273,15 @@ class TestTrainLoop:
         rng = np.random.default_rng(2)
         bag = make_bags(rng, 1, d=5)[0]
         config = TrainConfig(epochs=1, seed=11, learning_rate=1e-2)
-        result = train(config, [bag], [], kind="elementwise_average",
-                       model_config=ModelConfig(d=5, heads=1))
+        result = train(config, [bag], [], init_baseline("elementwise_average", 5, seed=11))
 
         params = init_baseline("elementwise_average", 5, seed=11)
         agg = aggregate(bag, params, derive_seed(11, "baseline-epoch", 0))
-        logit = float(agg @ params.head_weights.value + params.head_bias.value)
+        logit = (agg @ params.head_weights.value + params.head_bias.value).item()
         g = logistic(logit) - bag.label
         grads = {"head_weights": agg.T * g, "head_bias": np.array([[g]])}
-        b1, b2, eps = config.beta1, config.beta2, config.adam_eps
+        adam = Adam()
+        b1, b2, eps = adam.beta1, adam.beta2, adam.eps
         expected = {}
         for name, p in params.named_parameters():
             m = (1 - b1) * grads[name]
@@ -299,8 +298,8 @@ class TestTrainLoop:
         bags = make_bags(rng, 8, d=4)
         config = TrainConfig(epochs=3, seed=5, learning_rate=1e-3)
         cfg = ModelConfig(d=4, heads=2, landmarks=4)
-        a = train(config, bags[:6], bags[6:], kind="detectbert", model_config=cfg)
-        b = train(config, bags[:6], bags[6:], kind="detectbert", model_config=cfg)
+        a = train(config, bags[:6], bags[6:], init_params(cfg, config.seed))
+        b = train(config, bags[:6], bags[6:], init_params(cfg, config.seed))
         assert a.history == b.history
         for (_, pa), (_, pb) in zip(
             a.params.named_parameters(), b.params.named_parameters()
@@ -312,15 +311,13 @@ class TestTrainLoop:
         bag = Bag("overflow-app", 1, dt.date(2019, 1, 1), huge)
         config = TrainConfig(epochs=1, seed=0)
         with pytest.raises(TrainingDivergedError, match=r"epoch 0.*overflow-app"):
-            train(config, [bag], [], kind="elementwise_addition",
-                  model_config=ModelConfig(d=3, heads=1))
+            train(config, [bag], [], init_baseline("elementwise_addition", 3, seed=0))
 
     def test_best_epoch_selection_prefers_earlier_tie(self):
         rng = np.random.default_rng(4)
         bags = make_bags(rng, 5, d=4)
         config = TrainConfig(epochs=3, seed=9, learning_rate=0.0)
-        result = train(config, bags, bags, kind="elementwise_average",
-                       model_config=ModelConfig(d=4, heads=2))
+        result = train(config, bags, bags, init_baseline("elementwise_average", 4, seed=9))
         # lr=0 makes every epoch identical, so the tie resolves to epoch 0
         assert result.best_epoch == 0
 
@@ -331,7 +328,7 @@ class TestEvaluate:
         bags = make_bags(rng, 10, d=4)
         params = init_baseline("elementwise_average", 4, seed=0)
         params.head_weights.value[:] = 0.0
-        metrics, per_app = evaluate(params, bags, kind="elementwise_average")
+        metrics, per_app = evaluate(params, bags)
         assert all(r["prediction"] == 1 for r in per_app)
         assert metrics.recall == 1.0
 
@@ -339,8 +336,8 @@ class TestEvaluate:
         rng = np.random.default_rng(6)
         bags = make_bags(rng, 7, d=4)
         params = init_baseline("random_selection", 4, seed=1)
-        m1, p1 = evaluate(params, bags, kind="random_selection")
-        m2, p2 = evaluate(params, list(reversed(bags)), kind="random_selection")
+        m1, p1 = evaluate(params, bags)
+        m2, p2 = evaluate(params, list(reversed(bags)))
         assert p1 == p2
         assert m1 == m2
         assert [r["app_id"] for r in p1] == sorted(r["app_id"] for r in p1)
@@ -348,4 +345,4 @@ class TestEvaluate:
     def test_empty_split_rejected(self):
         params = init_baseline("elementwise_average", 4, seed=0)
         with pytest.raises(ValueError):
-            evaluate(params, [], kind="elementwise_average")
+            evaluate(params, [])
