@@ -111,5 +111,4 @@ def multi_head_nystrom(x, params: AttentionParams) -> Tensor:
                 params.pinv_iters,
             )
         )
-    merged = outs[0] if len(outs) == 1 else nm.concat_cols(outs)
-    return nm.matmul(merged, params.w_o)
+    return nm.matmul(nm.concat_cols(outs), params.w_o)

@@ -63,6 +63,17 @@ def _field_defaults(cls, names=None) -> dict:
     return {_setting(f): f.default for f in fields(cls) if names is None or f.name in names}
 
 
+def _add_setting_flags(parser, cls, names=None):
+    """One ``--flag`` per ``cls`` field (or per field in ``names``), typed by its default.
+
+    ``--seed`` is declared by hand, so the seed field gets no flag here.
+    """
+    for f in fields(cls):
+        if f.name != "seed" and (names is None or f.name in names):
+            flag = "--" + _setting(f).replace("_", "-")
+            parser.add_argument(flag, dest=_setting(f), type=type(f.default), default=None)
+
+
 def _from_settings(cls, settings: dict, **fixed):
     """Build ``cls`` from every field that has a setting, plus ``fixed`` values."""
     kwargs = {f.name: settings[_setting(f)] for f in fields(cls) if _setting(f) in settings}
@@ -156,16 +167,31 @@ def _write_split(plan, manifest, path: Path):
     path.write_text("\n".join(lines) + "\n")
 
 
-def _read_split(path: Path) -> dict:
+def _read_split(path: Path, manifest) -> dict:
+    """Manifest indices by role, each line checked against the manifest record it names."""
     roles = {"train": [], "validation": [], "test": []}
+    records = manifest.records
     lines = Path(path).read_text().splitlines()
     for lineno, line in enumerate(lines[1:], start=2):
-        idx, _, role = line.split(",")
+        where = f"{path}:{lineno}"
+        cells = line.split(",")
+        if len(cells) != 3:
+            raise ValueError(f"{where}: expected 3 fields index,app_id,role, got {line!r}")
+        idx, app_id, role = cells
         if role not in roles:
+            raise ValueError(f"{where}: unknown role {role!r}; expected one of {sorted(roles)}")
+        try:
+            i = int(idx)
+        except ValueError:
+            raise ValueError(f"{where}: index {idx!r} is not an integer") from None
+        if not 0 <= i < len(records):
+            raise ValueError(f"{where}: index {i} is outside the manifest's [0, {len(records)})")
+        if records[i].app_id != app_id:
             raise ValueError(
-                f"{path}:{lineno}: unknown role {role!r}; expected one of {sorted(roles)}"
+                f"{where}: app_id {app_id!r} differs from the manifest's {records[i].app_id!r} "
+                f"at index {i}"
             )
-        roles[role].append(int(idx))
+        roles[role].append(i)
     return roles
 
 
@@ -209,11 +235,11 @@ def cmd_evaluate(args) -> int:
     manifest = load_manifest(args.manifest)
     params = load_checkpoint(args.checkpoint)
     if args.split_file:
-        indices = _read_split(Path(args.split_file))[args.subset]
+        indices = _read_split(Path(args.split_file), manifest)[args.subset]
     else:
         indices = range(len(manifest.records))
     bags = load_bags(manifest, indices)
-    threshold = args.threshold if args.threshold is not None else 0.5
+    threshold = args.threshold if args.threshold is not None else TrainConfig.threshold
     metrics, per_app = evaluate(params, bags, threshold)
     (out / "scores.csv").write_text(format_per_app(per_app))
     (out / "metrics.txt").write_text(format_metrics_block(metrics))
@@ -300,18 +326,18 @@ def cmd_compare_baselines(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    suites = []
-    if args.gradcheck or not (args.gradcheck or args.attn or args.entropy):
-        suites.append(("gradcheck", lambda: run_gradcheck_suite(args.seed)))
-    if args.attn or not (args.gradcheck or args.attn or args.entropy):
-        landmarks = tuple(args.m) if args.m else (8, 32, 64, 128)
-        suites.append(("attn", lambda: run_attention_suite(args.seed, landmarks=landmarks)))
-    if args.entropy or not (args.gradcheck or args.attn or args.entropy):
-        suites.append(("entropy", lambda: run_entropy_suite(args.seed)))
+    landmarks = {"landmarks": tuple(args.m)} if args.m else {}
+    suites = {
+        "gradcheck": lambda: run_gradcheck_suite(args.seed),
+        "attn": lambda: run_attention_suite(args.seed, **landmarks),
+        "entropy": lambda: run_entropy_suite(args.seed),
+    }
+    # no suite flag means every suite
+    chosen = [name for name in suites if getattr(args, name)] or list(suites)
     all_passed = True
-    for name, runner in suites:
+    for name in chosen:
         print(f"[{name}]")
-        for result in runner():
+        for result in suites[name]():
             print(result.line())
             all_passed = all_passed and result.passed
     print("verify:", "PASS" if all_passed else "FAIL")
@@ -337,18 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen-synth", help="generate a synthetic bag dataset")
     add_common(gen)
     gen.add_argument("--out", required=True)
-    gen.add_argument("--bags", type=int, default=None)
-    gen.add_argument("--dim", type=int, default=None)
-    gen.add_argument("--bag-size-min", dest="bag_size_min", type=int, default=None)
-    gen.add_argument("--bag-size-max", dest="bag_size_max", type=int, default=None)
-    gen.add_argument("--witness-rate", dest="witness_rate", type=float, default=None)
-    gen.add_argument("--signal-shift", dest="signal_shift", type=float, default=None)
-    gen.add_argument(
-        "--correlation-strength", dest="correlation_strength", type=float, default=None
-    )
-    gen.add_argument(
-        "--positive-fraction", dest="positive_fraction", type=float, default=None
-    )
+    _add_setting_flags(gen, SynthConfig)
     gen.set_defaults(func=cmd_gen_synth)
 
     def add_train_flags(p):
@@ -356,19 +371,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--manifest", required=True)
         p.add_argument("--out", required=True)
         p.add_argument("--model", choices=sorted(MODELS), default=None)
-        p.add_argument("--epochs", type=int, default=None)
-        p.add_argument("--learning-rate", dest="learning_rate", type=float, default=None)
-        p.add_argument("--lookahead-k", dest="lookahead_k", type=int, default=None)
-        p.add_argument(
-            "--lookahead-alpha", dest="lookahead_alpha", type=float, default=None
-        )
-        p.add_argument("--batch-size", dest="batch_size", type=int, default=None)
-        p.add_argument("--threshold", type=float, default=None)
         p.add_argument("--repetition", type=int, default=None)
-        p.add_argument("--blocks", type=int, default=None)
-        p.add_argument("--heads", type=int, default=None)
-        p.add_argument("--landmarks", type=int, default=None)
-        p.add_argument("--pinv-iters", dest="pinv_iters", type=int, default=None)
+        _add_setting_flags(p, TrainConfig)
+        _add_setting_flags(p, ModelConfig, MODEL_SETTINGS)
 
     tr = sub.add_parser("train", help="train one model on a shuffled split")
     add_train_flags(tr)
@@ -382,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument(
         "--subset", choices=("train", "validation", "test"), default="test"
     )
-    ev.add_argument("--threshold", type=float, default=None)
+    _add_setting_flags(ev, TrainConfig, ("threshold",))
     ev.set_defaults(func=cmd_evaluate)
 
     ps = sub.add_parser(

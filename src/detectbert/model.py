@@ -99,6 +99,12 @@ class ModelConfig:
             raise ValueError(f"heads must be >= 1, got {self.heads}")
         if self.d % self.heads != 0:
             raise ValueError(f"width {self.d} not divisible by heads={self.heads}")
+        if self.landmarks < 1:
+            raise ValueError(f"landmarks must be >= 1, got {self.landmarks}")
+        if self.pinv_iters < 1:
+            raise ValueError(f"pinv_iters must be >= 1, got {self.pinv_iters}")
+        if not self.ln_eps > 0:
+            raise ValueError(f"ln_eps must be positive, got {self.ln_eps}")
 
 
 @dataclass
@@ -228,12 +234,15 @@ def logistic(x: float) -> float:
     return e / (1.0 + e)
 
 
-def predict(bag: Bag, params: ModelParams, threshold: float = 0.5) -> dict:
-    """Probability score and hard label; ties at the threshold count as malware."""
+def predict(bag: Bag, params, threshold: float = 0.5) -> dict:
+    """Probability score and hard label; ties at the threshold count as malware.
+
+    ``params`` is the attention head's or a baseline's (anything with ``logit``).
+    """
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold must be in (0, 1), got {threshold}")
     with no_grad():
-        logit = forward(bag, params).item()
+        logit = params.logit(bag).item()
     score = logistic(logit)
     return {"score": score, "label": 1 if score >= threshold else 0}
 
@@ -310,7 +319,8 @@ def load_checkpoint(path):
 
     Raises distinct errors for a wrong magic, an unsupported version, a
     truncated file, and a tensor name the declared configuration does not
-    expect.
+    expect; missing or invalid metadata and non-finite tensor values raise
+    :class:`CheckpointError`.
     """
     from .baselines import BASELINE_KINDS, baseline_from_meta
 
@@ -330,7 +340,12 @@ def load_checkpoint(path):
         kind = meta.get("kind", "detectbert")
         if kind not in loaders:
             raise CheckpointError(f"unknown model kind {kind!r} in checkpoint")
-        params = loaders[kind](meta)
+        try:
+            params = loaders[kind](meta)
+        except KeyError as exc:
+            raise CheckpointError(f"checkpoint metadata lacks the key {exc}") from None
+        except ValueError as exc:
+            raise CheckpointError(f"checkpoint metadata: {exc}") from None
         expected = dict(params.named_parameters())
 
         seen = set()
@@ -352,6 +367,8 @@ def load_checkpoint(path):
                     f"tensor {name!r} has shape ({rows}, {cols}), "
                     f"expected {expected[name].shape}"
                 )
+            if not np.isfinite(value).all():
+                raise CheckpointError(f"tensor {name!r} holds non-finite values")
             expected[name].value = value
             seen.add(name)
         missing = set(expected) - seen

@@ -118,23 +118,6 @@ class Tensor:
                 else:
                     grads[key] = pg
 
-    # convenience operators used throughout the model code
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return scale(self, float(other))
-
-    __rmul__ = __mul__
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -403,31 +386,16 @@ def iterative_pinv(a: Tensor, iters: int = DEFAULT_PINV_ITERS) -> Tensor:
     eye13 = eye7 + 6.0 * np.eye(n)
     z = av.T / s
 
-    if not (_grad_enabled and a.requires_grad):
-        # inference fast path: reuse scratch buffers, keep no history
-        y = np.empty((n, n))
-        t = np.empty((n, n))
-        p = np.empty((n, n))
-        z_next = np.empty((n, n))
-        for _ in range(iters):
-            np.matmul(av, z, out=y)
-            np.subtract(eye7, y, out=t)
-            np.matmul(y, t, out=p)
-            np.subtract(eye15, p, out=t)
-            np.matmul(y, t, out=p)
-            np.subtract(eye13, p, out=t)
-            np.matmul(z, t, out=z_next)
-            z_next *= 0.25
-            z, z_next = z_next, z
-        return Tensor(z)
-
+    # one loop for inference and training; only a recorded call keeps the trail
+    recording = _grad_enabled and a.requires_grad
     trail = []
     for _ in range(iters):
         y = av @ z
         t1 = eye7 - y
         t3 = eye15 - y @ t1
         p = eye13 - y @ t3
-        trail.append((z, y, t1, t3, p))
+        if recording:
+            trail.append((z, y, t1, t3, p))
         z = 0.25 * (z @ p)
 
     def vjp(g):

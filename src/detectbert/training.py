@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import Bag, logistic
-from .numerics import Tensor, make_node, no_grad
+from .model import Bag, logistic, predict
+from .numerics import Tensor, make_node
 from .seeding import derive_rng, derive_seed
 
 
@@ -207,7 +207,6 @@ class SplitPlan:
     validation: list[int]
     test: list[int]
     protocol: str
-    repetition: int = 0
     excluded: int = 0
     train_fraction: float | None = None
     test_fraction: float | None = None
@@ -227,9 +226,7 @@ def split_shuffled(manifest, seed: int, repetition: int = 0) -> SplitPlan:
     test = sorted(int(i) for i in perm[:tenth])
     val = sorted(int(i) for i in perm[tenth:2 * tenth])
     train = sorted(int(i) for i in perm[2 * tenth:])
-    return SplitPlan(
-        train=train, validation=val, test=test, protocol="shuffled", repetition=repetition
-    )
+    return SplitPlan(train=train, validation=val, test=test, protocol="shuffled")
 
 
 def split_temporal(manifest) -> SplitPlan:
@@ -296,9 +293,7 @@ def train(config: TrainConfig, train_bags: list[Bag], val_bags: list[Bag], param
     adam = Adam()
     lookahead = Lookahead(named, config.lookahead_k, config.lookahead_alpha)
 
-    best_params = copy.deepcopy(params)
-    best_f1 = -1.0
-    best_epoch = -1
+    best_params, best_f1, best_epoch = None, -1.0, -1
     history = []
     for epoch in range(config.epochs):
         order = derive_rng(config.seed, "epoch-order", epoch).permutation(len(train_bags))
@@ -338,31 +333,28 @@ def train(config: TrainConfig, train_bags: list[Bag], val_bags: list[Bag], param
             best_f1 = f1
             best_epoch = epoch
             best_params = copy.deepcopy(params)
-    if best_epoch < 0:
-        best_params, best_epoch, best_f1 = copy.deepcopy(params), config.epochs - 1, 0.0
     best_params.zero_grads()
     return TrainResult(params=best_params, best_epoch=best_epoch, best_f1=best_f1, history=history)
 
 
 def evaluate(params, bags: list[Bag], threshold: float = 0.5):
-    """Score every bag; returns (Metrics, per-app records ordered by app id)."""
+    """Score every bag with :func:`predict`.
+
+    Returns (Metrics, per-app records ordered by app id).
+    """
     if not bags:
         raise ValueError("evaluation split is empty")
-    if not 0.0 < threshold < 1.0:
-        raise ValueError(f"threshold must be in (0, 1), got {threshold}")
     per_app = []
-    with no_grad():
-        for bag in bags:
-            logit = params.logit(bag).item()
-            score = logistic(logit)
-            per_app.append(
-                {
-                    "app_id": bag.app_id,
-                    "score": score,
-                    "label": bag.label,
-                    "prediction": 1 if score >= threshold else 0,
-                }
-            )
+    for bag in bags:
+        out = predict(bag, params, threshold)
+        per_app.append(
+            {
+                "app_id": bag.app_id,
+                "score": out["score"],
+                "label": bag.label,
+                "prediction": out["label"],
+            }
+        )
     per_app.sort(key=lambda r: r["app_id"])
     metrics = compute_metrics(
         [r["prediction"] for r in per_app], [r["label"] for r in per_app]

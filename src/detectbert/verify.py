@@ -105,14 +105,6 @@ class JointDistribution:
             raise ValueError(f"JointDistribution: probabilities sum to {total}, not 1")
         self.probabilities = p
 
-    @property
-    def variables(self) -> int:
-        return self.probabilities.ndim
-
-    @property
-    def support_sizes(self):
-        return self.probabilities.shape
-
 
 def _entropy(p: np.ndarray) -> float:
     """Shannon entropy in nats with 0 * log 0 taken as 0."""

@@ -1,8 +1,12 @@
 """End-to-end command-line tests (in-process, tiny datasets)."""
 
+import argparse
+
+import numpy as np
 import pytest
 
-from detectbert.cli import TRAIN_DEFAULTS, build_parser, main, resolve_settings
+from detectbert.cli import TRAIN_DEFAULTS, _field_defaults, build_parser, main, resolve_settings
+from detectbert.data import SynthConfig
 from detectbert.model import load_checkpoint
 
 
@@ -145,6 +149,18 @@ def single_error_line(capsys) -> str:
     return err[0]
 
 
+def split_with_line(dataset, tmp_path, edit):
+    """Train a baseline, then rewrite line 4 of its split file with ``edit``."""
+    run_dir = tmp_path / "run"
+    run(["train", "--manifest", dataset / "manifest.csv", "--out", run_dir,
+         "--model", "baseline-average"] + FAST)
+    split = run_dir / "split.csv"
+    lines = split.read_text().splitlines()
+    lines[3] = edit(lines[3])
+    split.write_text("\n".join(lines) + "\n")
+    return run_dir, split
+
+
 class TestRejectedInputs:
     def test_zero_heads_is_an_error_not_a_traceback(self, dataset, tmp_path, capsys):
         code = run(["train", "--manifest", dataset / "manifest.csv", "--out", tmp_path / "r",
@@ -166,13 +182,9 @@ class TestRejectedInputs:
         assert not (tmp_path / "e" / "scores.csv").exists()
 
     def test_unknown_split_role_names_file_and_line(self, dataset, tmp_path, capsys):
-        run_dir = tmp_path / "run"
-        run(["train", "--manifest", dataset / "manifest.csv", "--out", run_dir,
-             "--model", "baseline-average"] + FAST)
-        split = run_dir / "split.csv"
-        lines = split.read_text().splitlines()
-        lines[3] = lines[3].rsplit(",", 1)[0] + ",testing"
-        split.write_text("\n".join(lines) + "\n")
+        run_dir, split = split_with_line(
+            dataset, tmp_path, lambda line: line.rsplit(",", 1)[0] + ",testing"
+        )
         capsys.readouterr()
         code = run(["evaluate", "--manifest", dataset / "manifest.csv",
                     "--checkpoint", run_dir / "checkpoint.dbck", "--out", tmp_path / "e",
@@ -180,6 +192,163 @@ class TestRejectedInputs:
         assert code == 1
         line = single_error_line(capsys)
         assert f"{split}:4:" in line and "'testing'" in line
+
+
+class TestSplitFileChecks:
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda line: "99," + line.split(",", 1)[1], "index 99 is outside the manifest's"),
+            (lambda line: "-1," + line.split(",", 1)[1], "index -1 is outside the manifest's"),
+            (lambda line: "x," + line.split(",", 1)[1], "index 'x' is not an integer"),
+            (lambda line: line.split(",", 1)[1], "expected 3 fields"),
+            (lambda line: line + ",extra", "expected 3 fields"),
+            (lambda line: line.replace(",", ",other-", 1), "differs from the manifest's"),
+        ],
+        ids=["index-too-large", "index-negative", "index-not-integer", "two-fields",
+             "four-fields", "app-id-mismatch"],
+    )
+    def test_bad_line_names_file_and_line(self, dataset, tmp_path, capsys, edit, message):
+        run_dir, split = split_with_line(dataset, tmp_path, edit)
+        capsys.readouterr()
+        code = run(["evaluate", "--manifest", dataset / "manifest.csv",
+                    "--checkpoint", run_dir / "checkpoint.dbck", "--out", tmp_path / "e",
+                    "--split-file", split])
+        assert code == 1
+        line = single_error_line(capsys)
+        assert f"{split}:4:" in line and message in line
+        assert not (tmp_path / "e" / "scores.csv").exists()
+
+
+class TestCheckpointErrors:
+    @pytest.mark.parametrize("corrupt", ["missing-key", "non-finite"])
+    def test_bad_checkpoint_is_one_error_line(self, dataset, tmp_path, capsys, corrupt):
+        run_dir = tmp_path / "run"
+        run(["train", "--manifest", dataset / "manifest.csv", "--out", run_dir] + FAST)
+        ckpt = run_dir / "checkpoint.dbck"
+        raw = ckpt.read_bytes()
+        if corrupt == "missing-key":
+            meta_len = int.from_bytes(raw[8:12], "little")
+            meta = raw[12:12 + meta_len].replace(b"heads=2\n", b"")
+            raw = raw[:8] + len(meta).to_bytes(4, "little") + meta + raw[12 + meta_len:]
+        else:
+            raw = raw[:-8] + np.array([np.nan], dtype="<f8").tobytes()
+        ckpt.write_bytes(raw)
+        capsys.readouterr()
+        code = run(["evaluate", "--manifest", dataset / "manifest.csv",
+                    "--checkpoint", ckpt, "--out", tmp_path / "e"])
+        assert code == 1
+        line = single_error_line(capsys)
+        assert ("'heads'" if corrupt == "missing-key" else "non-finite") in line
+        assert not (tmp_path / "e" / "scores.csv").exists()
+
+
+def flag_table(parser) -> dict:
+    """{subcommand: {(option, dest, type name, default)}} for every flag of every subcommand."""
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        name: {
+            (a.option_strings[0], a.dest, getattr(a.type, "__name__", None), a.default)
+            for a in sub._actions
+            if a.option_strings and a.dest != "help"
+        }
+        for name, sub in subparsers.choices.items()
+    }
+
+
+# Every flag as it was declared when each was written out by hand.
+TRAIN_FLAGS = {
+    ("--config", "config", None, None),
+    ("--seed", "seed", "int", None),
+    ("--manifest", "manifest", None, None),
+    ("--out", "out", None, None),
+    ("--model", "model", None, None),
+    ("--repetition", "repetition", "int", None),
+    ("--epochs", "epochs", "int", None),
+    ("--learning-rate", "learning_rate", "float", None),
+    ("--lookahead-k", "lookahead_k", "int", None),
+    ("--lookahead-alpha", "lookahead_alpha", "float", None),
+    ("--batch-size", "batch_size", "int", None),
+    ("--threshold", "threshold", "float", None),
+    ("--blocks", "blocks", "int", None),
+    ("--heads", "heads", "int", None),
+    ("--landmarks", "landmarks", "int", None),
+    ("--pinv-iters", "pinv_iters", "int", None),
+}
+FLAGS = {
+    "gen-synth": {
+        ("--config", "config", None, None),
+        ("--seed", "seed", "int", None),
+        ("--out", "out", None, None),
+        ("--bags", "bags", "int", None),
+        ("--dim", "dim", "int", None),
+        ("--bag-size-min", "bag_size_min", "int", None),
+        ("--bag-size-max", "bag_size_max", "int", None),
+        ("--witness-rate", "witness_rate", "float", None),
+        ("--signal-shift", "signal_shift", "float", None),
+        ("--correlation-strength", "correlation_strength", "float", None),
+        ("--positive-fraction", "positive_fraction", "float", None),
+    },
+    "train": TRAIN_FLAGS,
+    "evaluate": {
+        ("--manifest", "manifest", None, None),
+        ("--checkpoint", "checkpoint", None, None),
+        ("--out", "out", None, None),
+        ("--split-file", "split_file", None, None),
+        ("--subset", "subset", None, "test"),
+        ("--threshold", "threshold", "float", None),
+    },
+    "protocol-shuffled": TRAIN_FLAGS | {("--repetitions", "repetitions", "int", None)},
+    "protocol-temporal": TRAIN_FLAGS,
+    "compare-baselines": TRAIN_FLAGS,
+    "verify": {
+        ("--gradcheck", "gradcheck", None, False),
+        ("--attn", "attn", None, False),
+        ("--entropy", "entropy", None, False),
+        ("--m", "m", "int", None),
+        ("--seed", "seed", "int", 0),
+    },
+}
+HAND_WRITTEN = {"config", "seed", "manifest", "out", "model", "repetition", "repetitions",
+                "checkpoint", "split_file", "subset"}
+# A valid non-default value for every flag generated from a config field.
+NON_DEFAULT = {
+    "gen-synth": {"bags": 7, "dim": 8, "bag_size_min": 2, "bag_size_max": 4,
+                  "witness_rate": 0.5, "signal_shift": 3.5, "correlation_strength": 0.75,
+                  "positive_fraction": 0.25},
+    "train": {"epochs": 2, "learning_rate": 0.003, "lookahead_k": 2, "lookahead_alpha": 0.25,
+              "batch_size": 3, "threshold": 0.375, "blocks": 1, "heads": 4, "landmarks": 3,
+              "pinv_iters": 5},
+    "evaluate": {"threshold": 0.625},
+}
+
+
+class TestGeneratedFlags:
+    def test_flags_unchanged(self):
+        assert flag_table(build_parser()) == FLAGS
+
+    def test_non_default_values_reach_resolved_config(self, tmp_path):
+        table = flag_table(build_parser())
+        defaults = {**_field_defaults(SynthConfig), **TRAIN_DEFAULTS}
+        data, run_dir, eval_dir = tmp_path / "data", tmp_path / "run", tmp_path / "eval"
+        outs = {"gen-synth": data, "train": run_dir, "evaluate": eval_dir}
+        argv = {
+            "gen-synth": ["gen-synth", "--out", data],
+            "train": ["train", "--manifest", data / "manifest.csv", "--out", run_dir],
+            "evaluate": ["evaluate", "--manifest", data / "manifest.csv",
+                         "--checkpoint", run_dir / "checkpoint.dbck", "--out", eval_dir],
+        }
+        for command, values in NON_DEFAULT.items():
+            generated = {dest for _, dest, _, _ in table[command]} - HAND_WRITTEN
+            assert set(values) == generated, command
+            flags = []
+            for dest, value in values.items():
+                assert value != defaults[dest], dest
+                flags += ["--" + dest.replace("_", "-"), value]
+            assert run(argv[command] + flags) == 0
+            resolved = (outs[command] / "resolved_config.txt").read_text().splitlines()
+            for dest, value in values.items():
+                assert f"{dest}={value}" in resolved, (command, dest)
 
 
 class TestProtocols:
@@ -244,3 +413,9 @@ class TestVerify:
         assert run(["verify", "--attn", "--m", "8", "--seed", "0"]) == 0
         out = capsys.readouterr().out
         assert "m=8" in out
+
+    def test_default_landmarks_are_the_suite_defaults(self, capsys):
+        assert run(["verify", "--attn"]) == 0
+        out = capsys.readouterr().out
+        assert "[gradcheck]" not in out and "[entropy]" not in out
+        assert all(f"m={m}" in out for m in (8, 32, 64, 128))

@@ -19,6 +19,7 @@ from detectbert.model import (
     forward,
     init_params,
     load_checkpoint,
+    logistic,
     predict,
     save_checkpoint,
 )
@@ -182,6 +183,20 @@ class TestPredict:
         with pytest.raises(ValueError):
             predict(bag, params, threshold=0.0)
 
+    @pytest.mark.parametrize("n", [1, 4, 40])
+    def test_score_is_logistic_of_recorded_logit(self, n):
+        """predict (no graph) and the training forward (recorded) give the same bits."""
+        from detectbert.baselines import init_baseline
+
+        rng = np.random.default_rng(n)
+        bag = make_bag(rng, n=n, d=8)
+        head = init_params(ModelConfig(d=8, heads=2, landmarks=5), seed=n)
+        baseline = init_baseline("random_selection", d=8, seed=n)
+        for params in (head, baseline):
+            recorded = params.logit(bag)
+            assert recorded.requires_grad
+            assert predict(bag, params)["score"] == logistic(recorded.item())
+
 
 class TestCheckpoints:
     def test_roundtrip_is_bitwise(self, tmp_path):
@@ -256,6 +271,12 @@ class TestCheckpoints:
             (b"category_scale=1.0", b"category_scale=2.0", CheckpointError),
             (b"heads=2", b"heads=0", ValueError),
             (b"kind=detectbert", b"kind=detectbertx", CheckpointError),
+            (b"heads=2\n", b"", CheckpointError),
+            (b"d=4\n", b"", CheckpointError),
+            (b"pinv_iters=24", b"pinv_iters=0", CheckpointError),
+            (b"landmarks=64", b"landmarks=0", CheckpointError),
+            (b"ln_eps=1e-05", b"ln_eps=0.0", CheckpointError),
+            (b"ln_eps=1e-05", b"ln_eps=nan", CheckpointError),
         ],
     )
     def test_unsupported_metadata_rejected(self, tmp_path, old, new, error):
@@ -268,6 +289,16 @@ class TestCheckpoints:
         meta = meta.replace(old, new)
         path.write_bytes(raw[:8] + len(meta).to_bytes(4, "little") + meta + raw[12 + meta_len:])
         with pytest.raises(error):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_tensor_rejected(self, tmp_path, bad):
+        path = tmp_path / "model.dbck"
+        save_checkpoint(init_params(ModelConfig(d=4, heads=2), seed=0), path)
+        raw = path.read_bytes()
+        # the last 8 bytes are head_bias, the file's final tensor
+        path.write_bytes(raw[:-8] + np.array([bad], dtype="<f8").tobytes())
+        with pytest.raises(CheckpointError, match="'head_bias' holds non-finite values"):
             load_checkpoint(path)
 
     def test_baseline_roundtrip(self, tmp_path):

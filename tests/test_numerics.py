@@ -211,6 +211,17 @@ class TestIterativePinv:
         with pytest.raises(ValueError, match="zero"):
             nm.iterative_pinv(Tensor(np.zeros((3, 3))), 6)
 
+    @pytest.mark.parametrize("n", [5, 32, 33, 64, 65])
+    def test_no_grad_matches_recorded_bitwise(self, n):
+        """Inference and training compute the pseudo-inverse by the same loop."""
+        a = softmax_np(np.random.default_rng(n).standard_normal((n, n)))
+        recorded = nm.iterative_pinv(Tensor(a, requires_grad=True))
+        assert recorded._vjp is not None
+        with nm.no_grad():
+            plain = nm.iterative_pinv(Tensor(a, requires_grad=True))
+        assert plain._vjp is None
+        np.testing.assert_array_equal(plain.value, recorded.value)
+
 
 class TestBackwardRules:
     """Central finite differences (step 1e-5) vs analytic gradients for
