@@ -10,42 +10,9 @@ the pseudo-inverse tolerance, which is the basis of the oracle tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from . import numerics as nm
 from .numerics import DEFAULT_PINV_ITERS, ShapeError, Tensor
-
-
-@dataclass
-class AttentionParams:
-    """Projection weights and approximation settings for one attention layer.
-
-    ``w_q``/``w_k``/``w_v``/``w_o`` are d x d tensors; ``heads`` must divide
-    d.  The effective landmark count of a call is ``min(landmarks, rows)``.
-    """
-
-    w_q: Tensor
-    w_k: Tensor
-    w_v: Tensor
-    w_o: Tensor
-    heads: int = 8
-    landmarks: int = 64
-    pinv_iters: int = DEFAULT_PINV_ITERS
-
-    def __post_init__(self):
-        d = self.w_q.rows
-        for name in ("w_q", "w_k", "w_v", "w_o"):
-            w = getattr(self, name)
-            if w.shape != (d, d):
-                raise ShapeError(f"AttentionParams: {name} has shape {w.shape}, want ({d}, {d})")
-        if self.heads < 1 or d % self.heads != 0:
-            raise ValueError(f"AttentionParams: width {d} not divisible by heads={self.heads}")
-        if self.landmarks < 1:
-            raise ValueError("AttentionParams: landmarks must be >= 1")
-
-    @property
-    def d(self) -> int:
-        return self.w_q.rows
 
 
 def _scores(q: Tensor, k: Tensor) -> Tensor:
@@ -85,22 +52,31 @@ def nystrom_attention(q, k, v, m: int, iters: int = DEFAULT_PINV_ITERS) -> Tenso
     return nm.matmul(joined, nm.matmul(kernel_lk, v))
 
 
-def multi_head_nystrom(x, params: AttentionParams) -> Tensor:
+def multi_head_nystrom(
+    x, weights, heads: int, landmarks: int, iters: int = DEFAULT_PINV_ITERS
+) -> Tensor:
     """Project, split into heads, run Nystrom attention per head, merge.
 
-    Output shape equals input shape.  The landmark count is clamped to the
-    sequence length so short inputs fall into the exact regime.
+    ``weights`` are the d x d projections ``(w_q, w_k, w_v, w_o)`` for an
+    input of width d, and ``heads`` must divide d.  Output shape equals
+    input shape.  The landmark count is clamped to the sequence length so
+    short inputs fall into the exact regime.
     """
     x = nm.as_tensor(x)
-    if x.cols != params.d:
-        raise ShapeError(f"multi_head_nystrom: input width {x.cols} != params width {params.d}")
-    q = nm.matmul(x, params.w_q)
-    k = nm.matmul(x, params.w_k)
-    v = nm.matmul(x, params.w_v)
-    m = min(params.landmarks, x.rows)
-    head_dim = params.d // params.heads
+    d = x.cols
+    for w in weights:
+        if w.shape != (d, d):
+            raise ShapeError(f"multi_head_nystrom: weight shape {w.shape} != input width {d}")
+    if heads < 1 or d % heads != 0:
+        raise ValueError(f"multi_head_nystrom: width {d} not divisible by heads={heads}")
+    w_q, w_k, w_v, w_o = weights
+    q = nm.matmul(x, w_q)
+    k = nm.matmul(x, w_k)
+    v = nm.matmul(x, w_v)
+    m = min(landmarks, x.rows)
+    head_dim = d // heads
     outs = []
-    for h in range(params.heads):
+    for h in range(heads):
         lo, hi = h * head_dim, (h + 1) * head_dim
         outs.append(
             nystrom_attention(
@@ -108,7 +84,7 @@ def multi_head_nystrom(x, params: AttentionParams) -> Tensor:
                 nm.slice_cols(k, lo, hi),
                 nm.slice_cols(v, lo, hi),
                 m,
-                params.pinv_iters,
+                iters,
             )
         )
-    return nm.matmul(nm.concat_cols(outs), params.w_o)
+    return nm.matmul(nm.concat_cols(outs), w_o)

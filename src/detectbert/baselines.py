@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics as nm
-from .model import Bag, PROJECTION_STD
+from .model import Bag, init_tensors
 from .numerics import Tensor
 from .seeding import derive_rng
 
@@ -39,7 +39,7 @@ class BaselineParams:
         return self.head_weights.rows
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
-        return [("head_weights", self.head_weights), ("head_bias", self.head_bias)]
+        return [(name, getattr(self, name)) for name, _ in param_shapes(self.d)]
 
     def zero_grads(self):
         for _, p in self.named_parameters():
@@ -54,19 +54,19 @@ class BaselineParams:
         return {"kind": self.kind, "d": self.d, "eval_seed": self.eval_seed}
 
 
+def param_shapes(d: int) -> list[tuple[str, tuple[int, int]]]:
+    """The linear head's (name, (rows, cols)) pairs, in checkpoint order."""
+    return [("head_weights", (d, 1)), ("head_bias", (1, 1))]
+
+
 def init_baseline(kind: str, d: int, seed: int) -> BaselineParams:
-    rng = derive_rng(seed, "init", "head_weights")
-    return BaselineParams(
-        kind=kind,
-        head_weights=Tensor(PROJECTION_STD * rng.standard_normal((d, 1)), requires_grad=True),
-        head_bias=Tensor(np.zeros((1, 1)), requires_grad=True),
-        eval_seed=seed,
-    )
+    return BaselineParams(kind, **init_tensors(param_shapes(d), seed), eval_seed=seed)
 
 
-def baseline_from_meta(meta: dict) -> BaselineParams:
-    """Baseline parameters shaped as checkpoint metadata declares, to be overwritten on load."""
-    return init_baseline(meta["kind"], int(meta["d"]), seed=int(meta.get("eval_seed", 0)))
+def baseline_from_meta(meta: dict):
+    """The baseline's parameter table as checkpoint metadata declares it, and a builder."""
+    kind, eval_seed = meta["kind"], int(meta.get("eval_seed", 0))
+    return param_shapes(int(meta["d"])), lambda t: BaselineParams(kind, **t, eval_seed=eval_seed)
 
 
 def select_index(app_id: str, n: int, seed: int) -> int:

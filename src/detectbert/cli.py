@@ -88,8 +88,8 @@ TRAIN_DEFAULTS = {
 }
 
 
-def _parse_config_file(path) -> dict:
-    values = {}
+def _parse_config_file(path):
+    """Yield (line number, key, value) for each ``key=value`` line of a config file."""
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -97,14 +97,7 @@ def _parse_config_file(path) -> dict:
         key, sep, value = line.partition("=")
         if not sep:
             raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-        values[key.strip()] = value.strip()
-    return values
-
-
-def _coerce(value, template):
-    if isinstance(template, bool):
-        return value in ("1", "true", "True", "yes")
-    return type(template)(value)
+        yield lineno, key.strip(), value.strip()
 
 
 def resolve_settings(defaults: dict, args: argparse.Namespace) -> dict:
@@ -113,10 +106,16 @@ def resolve_settings(defaults: dict, args: argparse.Namespace) -> dict:
     given = {k: v for k, v in vars(args).items() if k in defaults and v is not None}
     config_path = getattr(args, "config", None)
     if config_path:
-        for key, raw in _parse_config_file(config_path).items():
+        for lineno, key, raw in _parse_config_file(config_path):
             if key not in defaults:
-                raise ValueError(f"unknown config key {key!r}")
-            resolved[key] = _coerce(raw, defaults[key])
+                raise ValueError(f"{config_path}:{lineno}: unknown config key {key!r}")
+            kind = type(defaults[key])
+            try:
+                resolved[key] = kind(raw)
+            except ValueError:
+                raise ValueError(
+                    f"{config_path}:{lineno}: {key}={raw!r} is not a valid {kind.__name__}"
+                ) from None
     resolved.update(given)
     return resolved
 

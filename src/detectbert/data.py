@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import math
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -76,11 +77,12 @@ def read_bag(path, app_id: str = "", label: int = 0, date: dt.date | None = None
             raise BagEmptyError(f"{path}: bag declares zero instances")
         if d == 0:
             raise BagEmptyError(f"{path}: bag declares zero-width embeddings")
-        payload = f.read(n * d * 4)
-        if len(payload) != n * d * 4:
-            raise BagTruncatedError(
-                f"{path}: expected {n * d * 4} payload bytes, found {len(payload)}"
-            )
+        size = n * d * 4
+        available = os.fstat(f.fileno()).st_size - f.tell()
+        # checked before reading, so a header cannot size an allocation beyond the file
+        payload = f.read(size) if size <= available else b""
+        if len(payload) != size:
+            raise BagTruncatedError(f"{path}: expected {size} payload bytes, found {available}")
         if f.read(1):
             raise BagFormatError(f"{path}: trailing bytes after payload")
     values = np.frombuffer(payload, dtype="<f4").reshape(n, d).astype(np.float64)
@@ -279,7 +281,7 @@ def gen_synthetic(config: SynthConfig, out_dir) -> DatasetManifest:
 
 
 def dataset_stats(manifest: DatasetManifest) -> dict:
-    """Label and year counts, plus the bag-size spread when files are readable."""
+    """Label and year counts."""
     if not manifest.records:
         raise ValueError("manifest has no records")
     by_label = {0: 0, 1: 0}
@@ -287,24 +289,9 @@ def dataset_stats(manifest: DatasetManifest) -> dict:
     for rec in manifest.records:
         by_label[rec.label] += 1
         by_year[rec.date.year] = by_year.get(rec.date.year, 0) + 1
-    stats = {
+    return {
         "num_apps": len(manifest.records),
         "benign": by_label[0],
         "malware": by_label[1],
         "by_year": dict(sorted(by_year.items())),
     }
-    sizes = []
-    try:
-        for rec in manifest.records:
-            with open(rec.path, "rb") as f:
-                head = f.read(16)
-            if len(head) == 16 and head[:4] == BAG_MAGIC:
-                _, n, _ = struct.unpack("<III", head[4:])
-                sizes.append(n)
-    except OSError:
-        sizes = []
-    if sizes:
-        stats["bag_size_min"] = int(min(sizes))
-        stats["bag_size_median"] = float(np.median(sizes))
-        stats["bag_size_max"] = int(max(sizes))
-    return stats

@@ -13,13 +13,14 @@ from __future__ import annotations
 import datetime as dt
 import io
 import math
+import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import numerics as nm
-from .attention import AttentionParams, multi_head_nystrom
+from .attention import multi_head_nystrom
 from .numerics import DEFAULT_PINV_ITERS, ShapeError, Tensor, no_grad
 from .seeding import derive_rng
 
@@ -108,36 +109,14 @@ class ModelConfig:
 
 
 @dataclass
-class BlockParams:
-    ln_gamma: Tensor
-    ln_beta: Tensor
-    attention: AttentionParams
-
-
-@dataclass
 class ModelParams:
+    """The attention head: its config and its tensors, keyed and ordered as :func:`param_shapes`."""
+
     config: ModelConfig
-    category_vector: Tensor
-    blocks: list[BlockParams]
-    final_ln_gamma: Tensor
-    final_ln_beta: Tensor
-    head_weights: Tensor
-    head_bias: Tensor
+    tensors: dict[str, Tensor]
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
-        out = [("category_vector", self.category_vector)]
-        for i, blk in enumerate(self.blocks):
-            out.append((f"block{i}.ln_gamma", blk.ln_gamma))
-            out.append((f"block{i}.ln_beta", blk.ln_beta))
-            out.append((f"block{i}.w_q", blk.attention.w_q))
-            out.append((f"block{i}.w_k", blk.attention.w_k))
-            out.append((f"block{i}.w_v", blk.attention.w_v))
-            out.append((f"block{i}.w_o", blk.attention.w_o))
-        out.append(("final_ln_gamma", self.final_ln_gamma))
-        out.append(("final_ln_beta", self.final_ln_beta))
-        out.append(("head_weights", self.head_weights))
-        out.append(("head_bias", self.head_bias))
-        return out
+        return list(self.tensors.items())
 
     def zero_grads(self):
         for _, p in self.named_parameters():
@@ -164,47 +143,55 @@ class ModelParams:
         }
 
 
-def init_params(config: ModelConfig, seed: int) -> ModelParams:
-    """Draw fresh parameters, fully deterministic given the seed.
+ATTENTION_WEIGHTS = ("w_q", "w_k", "w_v", "w_o")
 
-    The category vector is standard normal, projection and head weights
-    are normal with standard deviation 0.02, layer-norm gains start at one
-    and every bias at zero.  Each tensor has its own named random stream,
-    so two models with the same seed match bitwise parameter by parameter.
+
+def param_shapes(config: ModelConfig):
+    """Yield every head parameter's (name, (rows, cols)), in checkpoint order.
+
+    This is the one declaration of the head's parameters: initialization,
+    checkpoints and the loader's size checks all follow it.  It is lazy so
+    that the loader can stop as soon as a header declares more than the
+    file holds.
     """
-
-    def normal(name, rows, cols, std):
-        rng = derive_rng(seed, "init", name)
-        return Tensor(std * rng.standard_normal((rows, cols)), requires_grad=True)
-
-    def const(value, rows, cols):
-        return Tensor(np.full((rows, cols), float(value)), requires_grad=True)
-
     d = config.d
-    blocks = []
+    yield "category_vector", (1, d)
     for i in range(config.num_blocks):
-        attn = AttentionParams(
-            w_q=normal(f"block{i}.w_q", d, d, PROJECTION_STD),
-            w_k=normal(f"block{i}.w_k", d, d, PROJECTION_STD),
-            w_v=normal(f"block{i}.w_v", d, d, PROJECTION_STD),
-            w_o=normal(f"block{i}.w_o", d, d, PROJECTION_STD),
-            heads=config.heads,
-            landmarks=config.landmarks,
-            pinv_iters=config.pinv_iters,
-        )
-        blocks.append(
-            BlockParams(ln_gamma=const(1.0, 1, d), ln_beta=const(0.0, 1, d), attention=attn)
-        )
+        yield f"block{i}.ln_gamma", (1, d)
+        yield f"block{i}.ln_beta", (1, d)
+        for w in ATTENTION_WEIGHTS:
+            yield f"block{i}.{w}", (d, d)
+    yield "final_ln_gamma", (1, d)
+    yield "final_ln_beta", (1, d)
+    yield "head_weights", (d, 1)
+    yield "head_bias", (1, 1)
 
-    return ModelParams(
-        config=config,
-        category_vector=normal("category_vector", 1, d, 1.0),
-        blocks=blocks,
-        final_ln_gamma=const(1.0, 1, d),
-        final_ln_beta=const(0.0, 1, d),
-        head_weights=normal("head_weights", d, 1, PROJECTION_STD),
-        head_bias=const(0.0, 1, 1),
-    )
+
+def init_tensors(shapes, seed: int) -> dict[str, Tensor]:
+    """Fresh trainable tensors for ``(name, shape)`` pairs, fully deterministic given the seed.
+
+    Layer-norm gains start at one, layer-norm biases and the head bias at
+    zero, the category vector is standard normal and every other tensor
+    is normal with standard deviation ``PROJECTION_STD``.  Each tensor has
+    its own named random stream, so two models with the same seed match
+    bitwise parameter by parameter.
+    """
+    tensors = {}
+    for name, shape in shapes:
+        if name.endswith("ln_gamma"):
+            value = np.ones(shape)
+        elif name.endswith("ln_beta") or name == "head_bias":
+            value = np.zeros(shape)
+        else:
+            std = 1.0 if name == "category_vector" else PROJECTION_STD
+            value = std * derive_rng(seed, "init", name).standard_normal(shape)
+        tensors[name] = Tensor(value, requires_grad=True)
+    return tensors
+
+
+def init_params(config: ModelConfig, seed: int) -> ModelParams:
+    """Draw fresh head parameters (see :func:`init_tensors`)."""
+    return ModelParams(config, init_tensors(param_shapes(config), seed))
 
 
 def forward(bag: Bag, params: ModelParams) -> Tensor:
@@ -218,13 +205,16 @@ def forward(bag: Bag, params: ModelParams) -> Tensor:
     cfg = params.config
     if bag.dim != cfg.d:
         raise ShapeError(f"forward: bag width {bag.dim} != model width {cfg.d}")
-    x = nm.concat_rows([params.category_vector, Tensor(bag.embeddings)])
-    for blk in params.blocks:
-        normed = nm.layer_norm(x, blk.ln_gamma, blk.ln_beta, cfg.ln_eps)
-        x = nm.add(multi_head_nystrom(normed, blk.attention), x)
+    t = params.tensors
+    x = nm.concat_rows([t["category_vector"], Tensor(bag.embeddings)])
+    for i in range(cfg.num_blocks):
+        normed = nm.layer_norm(x, t[f"block{i}.ln_gamma"], t[f"block{i}.ln_beta"], cfg.ln_eps)
+        weights = tuple(t[f"block{i}.{w}"] for w in ATTENTION_WEIGHTS)
+        # one expression, so the attention output is freed before the next block runs
+        x = nm.add(multi_head_nystrom(normed, weights, cfg.heads, cfg.landmarks, cfg.pinv_iters), x)
     category = nm.slice_rows(x, 0, 1)
-    z = nm.layer_norm(category, params.final_ln_gamma, params.final_ln_beta, cfg.ln_eps)
-    return nm.add(nm.matmul(z, params.head_weights), params.head_bias)
+    z = nm.layer_norm(category, t["final_ln_gamma"], t["final_ln_beta"], cfg.ln_eps)
+    return nm.add(nm.matmul(z, t["head_weights"]), t["head_bias"])
 
 
 def logistic(x: float) -> float:
@@ -277,8 +267,9 @@ def save_checkpoint(params, path):
         f.write(buf.getvalue())
 
 
-def _read_exact(f, count: int, what: str) -> bytes:
-    data = f.read(count)
+def _read_exact(f, count: int, what: str, end: int) -> bytes:
+    """The next ``count`` bytes of ``f``; a count past ``end`` (the file size) reads nothing."""
+    data = f.read(count) if count <= end - f.tell() else b""
     if len(data) != count:
         raise CheckpointTruncatedError(f"checkpoint ends inside {what}")
     return data
@@ -296,8 +287,8 @@ def _parse_meta(meta_bytes: bytes) -> dict:
     return meta
 
 
-def _params_from_meta(meta: dict) -> ModelParams:
-    """Freshly initialized attention-head parameters shaped as ``meta`` declares."""
+def _params_from_meta(meta: dict):
+    """The head's parameter table as ``meta`` declares it, and a builder from loaded tensors."""
     if int(meta.get("head_hidden", 0)) != 0 or float(meta.get("category_scale", 1.0)) != 1.0:
         raise CheckpointError(
             "checkpoint declares a hidden head layer or a scaled category vector, "
@@ -309,69 +300,78 @@ def _params_from_meta(meta: dict) -> ModelParams:
         heads=int(meta["heads"]),
         landmarks=int(meta["landmarks"]),
         pinv_iters=int(meta["pinv_iters"]),
-        ln_eps=float(meta.get("ln_eps", 1e-5)),
+        ln_eps=float(meta.get("ln_eps", ModelConfig.ln_eps)),
     )
-    return init_params(cfg, seed=0)
+    return param_shapes(cfg), lambda tensors: ModelParams(cfg, tensors)
 
 
 def load_checkpoint(path):
     """Read a checkpoint written by :func:`save_checkpoint`.
 
-    Raises distinct errors for a wrong magic, an unsupported version, a
-    truncated file, and a tensor name the declared configuration does not
-    expect; missing or invalid metadata and non-finite tensor values raise
-    :class:`CheckpointError`.
+    Every size the file declares (the metadata length, the tensors the
+    metadata implies, each record's name and shape) is checked against the
+    file before anything of that size is read or allocated.  Raises
+    distinct errors for a wrong magic, an unsupported version, a truncated
+    file, and a tensor name the declared configuration does not expect;
+    missing or invalid metadata, a wrong tensor shape and non-finite
+    tensor values raise :class:`CheckpointError`.
     """
     from .baselines import BASELINE_KINDS, baseline_from_meta
 
     loaders = {"detectbert": _params_from_meta, **dict.fromkeys(BASELINE_KINDS, baseline_from_meta)}
     with open(path, "rb") as f:
-        magic = _read_exact(f, 4, "magic")
+        end = os.fstat(f.fileno()).st_size
+        magic = _read_exact(f, 4, "magic", end)
         if magic != CHECKPOINT_MAGIC:
             raise CheckpointMagicError(f"bad checkpoint magic {magic!r}")
-        (version,) = struct.unpack("<I", _read_exact(f, 4, "version"))
+        (version,) = struct.unpack("<I", _read_exact(f, 4, "version", end))
         if version != CHECKPOINT_VERSION:
             raise CheckpointVersionError(
                 f"unsupported checkpoint version {version} (expected {CHECKPOINT_VERSION})"
             )
-        (meta_len,) = struct.unpack("<I", _read_exact(f, 4, "metadata length"))
-        meta = _parse_meta(_read_exact(f, meta_len, "metadata"))
+        (meta_len,) = struct.unpack("<I", _read_exact(f, 4, "metadata length", end))
+        meta = _parse_meta(_read_exact(f, meta_len, "metadata", end))
 
         kind = meta.get("kind", "detectbert")
         if kind not in loaders:
             raise CheckpointError(f"unknown model kind {kind!r} in checkpoint")
         try:
-            params = loaders[kind](meta)
+            shapes, build = loaders[kind](meta)
         except KeyError as exc:
             raise CheckpointError(f"checkpoint metadata lacks the key {exc}") from None
         except ValueError as exc:
             raise CheckpointError(f"checkpoint metadata: {exc}") from None
-        expected = dict(params.named_parameters())
 
-        seen = set()
-        while True:
-            head = f.read(4)
-            if not head:
-                break
-            if len(head) != 4:
-                raise CheckpointTruncatedError("checkpoint ends inside a tensor header")
-            (name_len,) = struct.unpack("<I", head)
-            name = _read_exact(f, name_len, "tensor name").decode()
-            if name not in expected:
-                raise CheckpointUnknownTensorError(f"unknown tensor {name!r} in checkpoint")
-            rows, cols = struct.unpack("<II", _read_exact(f, 8, f"shape of {name!r}"))
-            raw = _read_exact(f, rows * cols * 8, f"values of {name!r}")
-            value = np.frombuffer(raw, dtype="<f8").reshape(rows, cols).astype(np.float64)
-            if expected[name].shape != (rows, cols):
-                raise CheckpointError(
-                    f"tensor {name!r} has shape ({rows}, {cols}), "
-                    f"expected {expected[name].shape}"
+        # Stop at the first record that no longer fits, so a header declaring
+        # a huge model costs no more than the file it came in.
+        declared = {}
+        payload, available = 0, end - f.tell()
+        for name, shape in shapes:
+            payload += 4 + len(name.encode()) + 8 + 8 * shape[0] * shape[1]
+            if payload > available:
+                raise CheckpointTruncatedError(
+                    f"checkpoint is missing data: its metadata declares more tensor bytes "
+                    f"than the {available} it holds"
                 )
+            declared[name] = shape
+
+        tensors = {}
+        while f.tell() < end:
+            (name_len,) = struct.unpack("<I", _read_exact(f, 4, "a tensor header", end))
+            name = _read_exact(f, name_len, "tensor name", end).decode()
+            if name not in declared:
+                raise CheckpointUnknownTensorError(f"unknown tensor {name!r} in checkpoint")
+            shape = struct.unpack("<II", _read_exact(f, 8, f"shape of {name!r}", end))
+            if shape != declared[name]:
+                raise CheckpointError(
+                    f"tensor {name!r} has shape {shape}, expected {declared[name]}"
+                )
+            raw = _read_exact(f, 8 * shape[0] * shape[1], f"values of {name!r}", end)
+            value = np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
             if not np.isfinite(value).all():
                 raise CheckpointError(f"tensor {name!r} holds non-finite values")
-            expected[name].value = value
-            seen.add(name)
-        missing = set(expected) - seen
+            tensors[name] = Tensor(value, requires_grad=True)
+        missing = declared.keys() - tensors.keys()
         if missing:
             raise CheckpointError(f"checkpoint is missing tensors: {sorted(missing)}")
-    return params
+    return build({name: tensors[name] for name in declared})

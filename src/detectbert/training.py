@@ -110,7 +110,7 @@ class Lookahead:
     the inner trajectory; alpha=0 leaves the slow weights untouched.
     """
 
-    def __init__(self, named_params, k: int = 5, alpha: float = 0.5):
+    def __init__(self, named_params, k: int, alpha: float):
         if k < 1:
             raise ValueError("lookahead k must be >= 1")
         if not 0.0 <= alpha <= 1.0:

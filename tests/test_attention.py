@@ -5,7 +5,6 @@ import pytest
 
 from detectbert import numerics as nm
 from detectbert.attention import (
-    AttentionParams,
     exact_attention,
     multi_head_nystrom,
     nystrom_attention,
@@ -107,33 +106,24 @@ class TestNystromAttention:
             nystrom_attention(q, q, q, m=5)
 
 
-def identity_params(d, heads=1, landmarks=64):
-    eye = np.eye(d)
-    return AttentionParams(
-        w_q=Tensor(eye.copy()),
-        w_k=Tensor(eye.copy()),
-        w_v=Tensor(eye.copy()),
-        w_o=Tensor(eye.copy()),
-        heads=heads,
-        landmarks=landmarks,
-    )
+def identity_weights(d):
+    return tuple(Tensor(np.eye(d)) for _ in range(4))
 
 
 class TestMultiHeadNystrom:
     def test_identity_projections_single_head(self):
         rng = np.random.default_rng(7)
         x = rng.standard_normal((9, 6))
-        params = identity_params(6, heads=1, landmarks=4)
-        via_mha = multi_head_nystrom(Tensor(x), params).value
+        via_mha = multi_head_nystrom(Tensor(x), identity_weights(6), heads=1, landmarks=4).value
         direct = nystrom_attention(Tensor(x), Tensor(x), Tensor(x), m=4).value
         np.testing.assert_allclose(via_mha, direct, atol=1e-12)
 
     def test_zero_values_give_zero_output(self):
         rng = np.random.default_rng(8)
         x = rng.standard_normal((5, 4))
-        params = identity_params(4, heads=2)
-        params.w_v = Tensor(np.zeros((4, 4)))
-        out = multi_head_nystrom(Tensor(x), params).value
+        w_q, w_k, _, w_o = identity_weights(4)
+        weights = (w_q, w_k, Tensor(np.zeros((4, 4))), w_o)
+        out = multi_head_nystrom(Tensor(x), weights, heads=2, landmarks=64).value
         np.testing.assert_allclose(out, 0.0, atol=1e-12)
 
     def test_two_heads_decouple_into_single_head_runs(self):
@@ -151,40 +141,28 @@ class TestMultiHeadNystrom:
             out[h:, h:] = pair[1]
             return out
 
-        two_head = AttentionParams(
-            w_q=Tensor(blockdiag(blocks["q"])),
-            w_k=Tensor(blockdiag(blocks["k"])),
-            w_v=Tensor(blockdiag(blocks["v"])),
-            w_o=Tensor(np.eye(d)),
-            heads=2,
-            landmarks=4,
-        )
-        combined = multi_head_nystrom(Tensor(x), two_head).value
+        two_head = tuple(Tensor(blockdiag(blocks[n])) for n in "qkv") + (Tensor(np.eye(d)),)
+        combined = multi_head_nystrom(Tensor(x), two_head, heads=2, landmarks=4).value
         for half in range(2):
-            single = AttentionParams(
-                w_q=Tensor(blocks["q"][half]),
-                w_k=Tensor(blocks["k"][half]),
-                w_v=Tensor(blocks["v"][half]),
-                w_o=Tensor(np.eye(h)),
-                heads=1,
-                landmarks=4,
-            )
-            sub = multi_head_nystrom(Tensor(x[:, half * h:(half + 1) * h]), single).value
+            single = tuple(Tensor(blocks[n][half]) for n in "qkv") + (Tensor(np.eye(h)),)
+            sub = multi_head_nystrom(
+                Tensor(x[:, half * h:(half + 1) * h]), single, heads=1, landmarks=4
+            ).value
             np.testing.assert_allclose(combined[:, half * h:(half + 1) * h], sub, atol=1e-10)
 
     def test_output_shape_equals_input_shape(self):
         rng = np.random.default_rng(10)
         x = rng.standard_normal((11, 8))
-        out = multi_head_nystrom(Tensor(x), identity_params(8, heads=4, landmarks=3))
+        out = multi_head_nystrom(Tensor(x), identity_weights(8), heads=4, landmarks=3)
         assert out.shape == (11, 8)
 
     def test_width_mismatch(self):
         with pytest.raises(ShapeError):
-            multi_head_nystrom(Tensor(np.zeros((3, 5))), identity_params(4))
+            multi_head_nystrom(Tensor(np.zeros((3, 5))), identity_weights(4), heads=1, landmarks=64)
 
     def test_heads_must_divide_width(self):
         with pytest.raises(ValueError):
-            identity_params(6, heads=4)
+            multi_head_nystrom(Tensor(np.zeros((3, 6))), identity_weights(6), heads=4, landmarks=64)
 
     def test_gradcheck_through_full_layer(self):
         rng = np.random.default_rng(11)
@@ -193,11 +171,11 @@ class TestMultiHeadNystrom:
         weights = [
             Tensor(0.5 * rng.standard_normal((d, d)), requires_grad=True) for _ in range(4)
         ]
-        params = AttentionParams(*weights, heads=2, landmarks=n)
         loss_w = rng.standard_normal((n, d))
 
         def build():
-            return nm.sum_all(nm.mul(multi_head_nystrom(x, params), Tensor(loss_w)))
+            out = multi_head_nystrom(x, weights, heads=2, landmarks=n)
+            return nm.sum_all(nm.mul(out, Tensor(loss_w)))
 
         err = gradcheck(build, [x] + weights, step=1e-5)
         assert err < 1e-4, f"max relative gradient error {err:.3e}"

@@ -1,12 +1,13 @@
 """End-to-end command-line tests (in-process, tiny datasets)."""
 
 import argparse
+import struct
 
 import numpy as np
 import pytest
 
 from detectbert.cli import TRAIN_DEFAULTS, _field_defaults, build_parser, main, resolve_settings
-from detectbert.data import SynthConfig
+from detectbert.data import BAG_MAGIC, BAG_VERSION, SynthConfig
 from detectbert.model import load_checkpoint
 
 
@@ -180,6 +181,24 @@ class TestRejectedInputs:
             assert code == 1
             assert "threshold must be in (0, 1)" in single_error_line(capsys)
         assert not (tmp_path / "e" / "scores.csv").exists()
+
+    def test_bag_header_larger_than_file_is_one_error_line(self, dataset, tmp_path, capsys):
+        bag = next((dataset / "bags").iterdir())
+        bag.write_bytes(BAG_MAGIC + struct.pack("<III", BAG_VERSION, 2**31, 2**31 - 1))
+        capsys.readouterr()
+        code = run(["train", "--manifest", dataset / "manifest.csv", "--out", tmp_path / "r"]
+                   + FAST)
+        assert code == 1
+        line = single_error_line(capsys)
+        assert f"{bag}: expected" in line and "payload bytes" in line
+
+    def test_bad_config_value_names_file_line_and_key(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("learning_rate=0.01\nepochs=abc\n")
+        code = run(["train", "--manifest", tmp_path / "m.csv", "--out", tmp_path / "r",
+                    "--config", cfg])
+        assert code == 1
+        assert f"{cfg}:2: epochs='abc' is not a valid int" in single_error_line(capsys)
 
     def test_unknown_split_role_names_file_and_line(self, dataset, tmp_path, capsys):
         run_dir, split = split_with_line(

@@ -1,11 +1,14 @@
 """Bag file format, manifest parsing, and the synthetic generator."""
 
 import datetime as dt
+import struct
 
 import numpy as np
 import pytest
 
 from detectbert.data import (
+    BAG_MAGIC,
+    BAG_VERSION,
     BagEmptyError,
     BagFormatError,
     BagMagicError,
@@ -60,6 +63,13 @@ class TestBagFiles:
         raw = path.read_bytes()
         path.write_bytes(raw[:-5])
         with pytest.raises(BagTruncatedError):
+            read_bag(path)
+
+    @pytest.mark.parametrize("n, d", [(20000, 2000), (2**31, 2**31 - 1)])
+    def test_header_larger_than_file_allocates_nothing(self, tmp_path, allocates_under, n, d):
+        path = tmp_path / "b.dbmb"
+        path.write_bytes(BAG_MAGIC + struct.pack("<III", BAG_VERSION, n, d))
+        with allocates_under(1 << 20), pytest.raises(BagTruncatedError):
             read_bag(path)
 
     def test_bad_magic(self, tmp_path):
@@ -204,15 +214,13 @@ class TestDatasetStats:
         assert stats["num_apps"] == 20
         assert stats["benign"] + stats["malware"] == 20
         assert stats["by_year"] == {2019: 10, 2020: 10}
-        assert 2 <= stats["bag_size_min"] <= stats["bag_size_max"] <= 9
 
     def test_empty_manifest_rejected(self):
         with pytest.raises(ValueError):
             dataset_stats(DatasetManifest(records=[]))
 
     def test_full_scale_label_counts(self):
-        """Label counting at the real corpus scale (96994 benign, 61809
-        malware); bag files absent, so size stats are skipped."""
+        """Label counting at the real corpus scale (96994 benign, 61809 malware)."""
         from detectbert.data import ManifestRecord
 
         records = [
@@ -223,4 +231,3 @@ class TestDatasetStats:
         stats = dataset_stats(DatasetManifest(records=records))
         assert stats["benign"] == 96994
         assert stats["malware"] == 61809
-        assert "bag_size_min" not in stats

@@ -1,14 +1,13 @@
 """Model head: forward pass, prediction, initialization, checkpoints."""
 
 import datetime as dt
+import struct
 
 import numpy as np
 import pytest
 
-from detectbert.attention import AttentionParams
 from detectbert.model import (
     Bag,
-    BlockParams,
     CheckpointError,
     CheckpointMagicError,
     CheckpointTruncatedError,
@@ -20,6 +19,7 @@ from detectbert.model import (
     init_params,
     load_checkpoint,
     logistic,
+    param_shapes,
     predict,
     save_checkpoint,
 )
@@ -38,32 +38,8 @@ def make_bag(rng, n=5, d=8, label=1, app_id="app-1"):
 
 def zero_params(d=4, num_blocks=2, heads=2):
     cfg = ModelConfig(d=d, num_blocks=num_blocks, heads=heads, landmarks=8)
-    blocks = []
-    for _ in range(num_blocks):
-        attn = AttentionParams(
-            w_q=Tensor(np.zeros((d, d))),
-            w_k=Tensor(np.zeros((d, d))),
-            w_v=Tensor(np.zeros((d, d))),
-            w_o=Tensor(np.zeros((d, d))),
-            heads=heads,
-            landmarks=cfg.landmarks,
-        )
-        blocks.append(
-            BlockParams(
-                ln_gamma=Tensor(np.zeros((1, d))),
-                ln_beta=Tensor(np.zeros((1, d))),
-                attention=attn,
-            )
-        )
-    return ModelParams(
-        config=cfg,
-        category_vector=Tensor(np.zeros((1, d))),
-        blocks=blocks,
-        final_ln_gamma=Tensor(np.zeros((1, d))),
-        final_ln_beta=Tensor(np.zeros((1, d))),
-        head_weights=Tensor(np.zeros((d, 1))),
-        head_bias=Tensor(np.zeros((1, 1))),
-    )
+    tensors = {name: Tensor(np.zeros(shape)) for name, shape in param_shapes(cfg)}
+    return ModelParams(config=cfg, tensors=tensors)
 
 
 class TestInitParams:
@@ -79,17 +55,21 @@ class TestInitParams:
         cfg = ModelConfig(d=8, heads=2)
         a = init_params(cfg, seed=1)
         b = init_params(cfg, seed=2)
-        assert not np.array_equal(a.category_vector.value, b.category_vector.value)
+        assert not np.array_equal(
+            a.tensors["category_vector"].value, b.tensors["category_vector"].value
+        )
 
     def test_two_blocks_by_default(self):
         params = init_params(ModelConfig(d=8, heads=2), seed=0)
-        assert len(params.blocks) == 2
+        names = [name for name, _ in params.named_parameters()]
+        assert [n for n in names if n.endswith(".w_q")] == ["block0.w_q", "block1.w_q"]
 
     def test_gamma_one_beta_zero_bias_zero(self):
         params = init_params(ModelConfig(d=8, heads=2), seed=5)
-        assert (params.blocks[0].ln_gamma.value == 1.0).all()
-        assert (params.blocks[0].ln_beta.value == 0.0).all()
-        assert params.head_bias.value[0, 0] == 0.0
+        t = params.tensors
+        assert (t["block0.ln_gamma"].value == 1.0).all()
+        assert (t["block0.ln_beta"].value == 0.0).all()
+        assert t["head_bias"].value[0, 0] == 0.0
 
     def test_invalid_width_head_combo(self):
         with pytest.raises(ValueError):
@@ -147,7 +127,7 @@ class TestForward:
         logit = forward(bag, params)
         logit.backward()
         assert (bag.embeddings == before).all()
-        assert params.category_vector.grad is not None
+        assert params.tensors["category_vector"].grad is not None
 
     def test_gradcheck_small_model(self):
         rng = np.random.default_rng(5)
@@ -169,12 +149,12 @@ class TestPredict:
 
     def test_saturated_logits(self):
         params = zero_params(d=4)
-        params.head_bias = Tensor(np.array([[20.0]]))
+        params.tensors["head_bias"] = Tensor(np.array([[20.0]]))
         bag = Bag("z", 0, dt.date(2019, 1, 1), np.zeros((3, 4)))
         out = predict(bag, params)
         assert out["score"] > 0.999
         assert out["label"] == 1
-        params.head_bias = Tensor(np.array([[-20.0]]))
+        params.tensors["head_bias"] = Tensor(np.array([[-20.0]]))
         assert predict(bag, params)["label"] == 0
 
     def test_threshold_validation(self):
@@ -237,8 +217,6 @@ class TestCheckpoints:
             load_checkpoint(path)
 
     def test_unknown_tensor_name(self, tmp_path):
-        import struct
-
         path = tmp_path / "model.dbck"
         save_checkpoint(init_params(ModelConfig(d=4, heads=2), seed=0), path)
         extra = struct.pack("<I", 6) + b"rogue!" + struct.pack("<II", 1, 1) + bytes(8)
@@ -277,9 +255,12 @@ class TestCheckpoints:
             (b"landmarks=64", b"landmarks=0", CheckpointError),
             (b"ln_eps=1e-05", b"ln_eps=0.0", CheckpointError),
             (b"ln_eps=1e-05", b"ln_eps=nan", CheckpointError),
+            (b"d=4\n", b"d=1024\n", CheckpointTruncatedError),
+            (b"d=4\nnum_blocks=2\nheads=2\n", b"d=1\nnum_blocks=10000\nheads=1\n",
+             CheckpointTruncatedError),
         ],
     )
-    def test_unsupported_metadata_rejected(self, tmp_path, old, new, error):
+    def test_unsupported_metadata_rejected(self, tmp_path, allocates_under, old, new, error):
         path = tmp_path / "model.dbck"
         save_checkpoint(init_params(ModelConfig(d=4, heads=2), seed=0), path)
         raw = path.read_bytes()
@@ -288,8 +269,46 @@ class TestCheckpoints:
         assert meta.count(old) == 1
         meta = meta.replace(old, new)
         path.write_bytes(raw[:8] + len(meta).to_bytes(4, "little") + meta + raw[12 + meta_len:])
-        with pytest.raises(error):
+        with allocates_under(1 << 20), pytest.raises(error):
             load_checkpoint(path)
+
+    def test_header_only_checkpoint_allocates_no_model(self, tmp_path, allocates_under):
+        path = tmp_path / "model.dbck"
+        save_checkpoint(ModelParams(ModelConfig(d=1024), tensors={}), path)
+        with allocates_under(1 << 20), pytest.raises(CheckpointTruncatedError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("shape", [(4000, 4000), (2**31, 2**31 - 1)])
+    def test_record_shape_checked_before_its_values(self, tmp_path, allocates_under, shape):
+        path = tmp_path / "model.dbck"
+        save_checkpoint(init_params(ModelConfig(d=4, heads=2), seed=0), path)
+        raw = path.read_bytes()
+        # the first record is category_vector; its shape follows the name
+        at = 12 + int.from_bytes(raw[8:12], "little") + 4 + len(b"category_vector")
+        path.write_bytes(raw[:at] + struct.pack("<II", *shape) + raw[at + 8:])
+        with allocates_under(1 << 20), pytest.raises(CheckpointError, match="has shape"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("kind", ["detectbert", "elementwise_average"])
+    def test_records_follow_the_shape_table(self, tmp_path, kind):
+        from detectbert import baselines
+
+        if kind == "detectbert":
+            cfg = ModelConfig(d=4, num_blocks=3, heads=2)
+            params, table = init_params(cfg, seed=0), list(param_shapes(cfg))
+        else:
+            params, table = baselines.init_baseline(kind, d=4, seed=0), baselines.param_shapes(4)
+        path = tmp_path / "model.dbck"
+        save_checkpoint(params, path)
+        raw = path.read_bytes()
+        records, at = [], 12 + int.from_bytes(raw[8:12], "little")
+        while at < len(raw):
+            (name_len,) = struct.unpack_from("<I", raw, at)
+            name = raw[at + 4:at + 4 + name_len].decode()
+            rows, cols = struct.unpack_from("<II", raw, at + 4 + name_len)
+            records.append((name, (rows, cols)))
+            at += 4 + name_len + 8 + 8 * rows * cols
+        assert records == table
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_tensor_rejected(self, tmp_path, bad):
