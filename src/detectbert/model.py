@@ -197,10 +197,14 @@ def init_params(config: ModelConfig, seed: int) -> ModelParams:
 def forward(bag: Bag, params: ModelParams) -> Tensor:
     """App-level malware logit for one bag, as a 1x1 tensor.
 
-    The category vector is row 0 of the sequence; no positional signal is
-    added (instances carry no meaningful order).  Each block applies
-    pre-norm multi-head Nystrom attention with a residual connection, and
-    the final logit reads the category row only.
+    The category vector is row 0 of the sequence, and no positional signal
+    is added.  The score is invariant to the order of the bag's instances
+    only in the exact regime (n + 1 <= landmarks): past it, the Nystrom
+    landmarks are means of contiguous row segments, so they depend on the
+    order.  Each block applies pre-norm multi-head Nystrom attention with a
+    residual connection, and the final logit reads the category row only,
+    so the last block computes only that row (its keys, values and
+    landmarks still use every row).
     """
     cfg = params.config
     if bag.dim != cfg.d:
@@ -210,10 +214,15 @@ def forward(bag: Bag, params: ModelParams) -> Tensor:
     for i in range(cfg.num_blocks):
         normed = nm.layer_norm(x, t[f"block{i}.ln_gamma"], t[f"block{i}.ln_beta"], cfg.ln_eps)
         weights = tuple(t[f"block{i}.{w}"] for w in ATTENTION_WEIGHTS)
+        last = i == cfg.num_blocks - 1
         # one expression, so the attention output is freed before the next block runs
-        x = nm.add(multi_head_nystrom(normed, weights, cfg.heads, cfg.landmarks, cfg.pinv_iters), x)
-    category = nm.slice_rows(x, 0, 1)
-    z = nm.layer_norm(category, t["final_ln_gamma"], t["final_ln_beta"], cfg.ln_eps)
+        x = nm.add(
+            multi_head_nystrom(
+                normed, weights, cfg.heads, cfg.landmarks, cfg.pinv_iters, 1 if last else None
+            ),
+            nm.slice_rows(x, 0, 1) if last else x,
+        )
+    z = nm.layer_norm(x, t["final_ln_gamma"], t["final_ln_beta"], cfg.ln_eps)
     return nm.add(nm.matmul(z, t["head_weights"]), t["head_bias"])
 
 
@@ -275,9 +284,16 @@ def _read_exact(f, count: int, what: str, end: int) -> bytes:
     return data
 
 
+def _decode(raw: bytes, what: str) -> str:
+    try:
+        return raw.decode()
+    except UnicodeDecodeError:
+        raise CheckpointError(f"checkpoint {what} is not valid UTF-8") from None
+
+
 def _parse_meta(meta_bytes: bytes) -> dict:
     meta = {}
-    for line in meta_bytes.decode().splitlines():
+    for line in _decode(meta_bytes, "metadata").splitlines():
         if not line.strip():
             continue
         key, sep, value = line.partition("=")
@@ -358,7 +374,7 @@ def load_checkpoint(path):
         tensors = {}
         while f.tell() < end:
             (name_len,) = struct.unpack("<I", _read_exact(f, 4, "a tensor header", end))
-            name = _read_exact(f, name_len, "tensor name", end).decode()
+            name = _decode(_read_exact(f, name_len, "tensor name", end), "tensor name")
             if name not in declared:
                 raise CheckpointUnknownTensorError(f"unknown tensor {name!r} in checkpoint")
             shape = struct.unpack("<II", _read_exact(f, 8, f"shape of {name!r}", end))

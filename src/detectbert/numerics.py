@@ -146,6 +146,11 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def recording(parents) -> bool:
+    """Whether a node over ``parents`` is recorded: grad is enabled and some parent needs it."""
+    return _grad_enabled and any(p.requires_grad for p in parents)
+
+
 def make_node(value: np.ndarray, parents, vjp) -> Tensor:
     """Create a graph node for a custom differentiable operation.
 
@@ -154,7 +159,7 @@ def make_node(value: np.ndarray, parents, vjp) -> Tensor:
     is a plain constant.
     """
     out = Tensor(value)
-    if _grad_enabled and any(p.requires_grad for p in parents):
+    if recording(parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._vjp = vjp
@@ -291,14 +296,8 @@ def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
 def softmax_rows(m: Tensor) -> Tensor:
     """Row-wise softmax with per-row max subtraction for stability."""
     m = as_tensor(m)
-    y = m.value - m.value.max(axis=1, keepdims=True)
-    np.exp(y, out=y)
-    y /= y.sum(axis=1, keepdims=True)
-
-    def vjp(g):
-        return (y * (g - np.sum(g * y, axis=1, keepdims=True)),)
-
-    return make_node(y, (m,), vjp)
+    y = softmax_last(m.value)
+    return make_node(y, (m,), lambda g: (softmax_vjp(y, g),))
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
@@ -344,79 +343,125 @@ def segment_means(x: Tensor, m: int) -> Tensor:
     if not 1 <= m <= n:
         raise ValueError(f"segment_means: m={m} out of range [1, {n}]")
     bounds = np.array(segment_bounds(n, m))
-    sizes = np.diff(bounds).astype(np.float64)
-    out = np.add.reduceat(x.value, bounds[:-1], axis=0)
-    out /= sizes[:, None]
-
-    def vjp(g):
-        return (np.repeat(g / sizes[:, None], np.diff(bounds), axis=0),)
-
-    return make_node(out, (x,), vjp)
+    return make_node(
+        segment_mean_rows(x.value, bounds), (x,), lambda g: (segment_mean_rows_vjp(g, bounds),)
+    )
 
 
 def iterative_pinv(a: Tensor, iters: int = DEFAULT_PINV_ITERS) -> Tensor:
     """Moore-Penrose pseudo-inverse by a cubically convergent polynomial iteration.
 
+    See :func:`pinv_iterate`; the backward rule (:func:`pinv_vjp`)
+    differentiates the unrolled iteration, including the norm-based
+    initialization.
+    """
+    a = as_tensor(a)
+    if a.cols != a.rows:
+        raise ShapeError(f"iterative_pinv: input must be square, got {a.shape}")
+    av = a.value
+    # one loop for inference and training; only a recorded call keeps the trail
+    trail = [] if recording((a,)) else None
+    z = pinv_iterate(av, iters, trail)
+    return make_node(z, (a,), lambda g: (pinv_vjp(av, trail, g),))
+
+
+# ---------------------------------------------------------------------------
+# array math shared by the primitives above and the fused attention node;
+# every function here works on the last two axes and broadcasts over the rest
+
+
+def mT(a: np.ndarray) -> np.ndarray:
+    """Transpose of the last two axes (numpy 2's ``a.mT``, which numpy 1.24 lacks)."""
+    return a.swapaxes(-1, -2)
+
+
+def softmax_last(s: np.ndarray, out=None) -> np.ndarray:
+    """Softmax over the last axis with max subtraction; ``out=s`` works in place."""
+    y = np.subtract(s, s.max(axis=-1, keepdims=True), out=out)
+    np.exp(y, out=y)
+    y /= y.sum(axis=-1, keepdims=True)
+    return y
+
+
+def softmax_vjp(y: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Gradient of the pre-softmax scores, given the softmax ``y`` and its gradient ``g``."""
+    return y * (g - np.sum(g * y, axis=-1, keepdims=True))
+
+
+def segment_mean_rows(x: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """Means of the row segments ``[bounds[i], bounds[i + 1])`` along axis -2."""
+    out = np.add.reduceat(x, bounds[:-1], axis=-2)
+    out /= np.diff(bounds)[:, None]
+    return out
+
+
+def segment_mean_rows_vjp(g: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    sizes = np.diff(bounds)
+    return np.repeat(g / sizes[:, None], sizes, axis=-2)
+
+
+def pinv_iterate(a: np.ndarray, iters: int, trail: list | None = None) -> np.ndarray:
+    """Pseudo-inverses of a stack of square matrices ``(..., m, m)``.
+
     Z0 = a^T / (||a||_1 * ||a||_inf), then
     Z <- 1/4 * Z (13 I - aZ (15 I - aZ (7 I - aZ))), ``iters`` times.
 
-    The backward rule differentiates the unrolled iteration, including the
-    norm-based initialization.
+    A ``trail`` list receives each step's intermediates for :func:`pinv_vjp`.
     """
-    a = as_tensor(a)
-    n = a.rows
-    if a.cols != n:
-        raise ShapeError(f"iterative_pinv: input must be square, got {a.shape}")
     if iters < 1:
         raise ValueError(f"iterative_pinv: iters must be >= 1, got {iters}")
-    av = a.value
-    absa = np.abs(av)
-    colsums = absa.sum(axis=0)
-    rowsums = absa.sum(axis=1)
-    j1 = int(np.argmax(colsums))
-    i1 = int(np.argmax(rowsums))
-    s1 = colsums[j1]
-    s2 = rowsums[i1]
-    s = s1 * s2
-    if s == 0.0:
+    absa = np.abs(a)
+    s = absa.sum(axis=-2).max(axis=-1) * absa.sum(axis=-1).max(axis=-1)
+    if np.any(s == 0.0):
         raise ValueError("iterative_pinv: zero matrix has no scaled initialization")
-
+    del absa
+    n = a.shape[-1]
     eye7 = 7.0 * np.eye(n)
     eye15 = eye7 + 8.0 * np.eye(n)
     eye13 = eye7 + 6.0 * np.eye(n)
-    z = av.T / s
-
-    # one loop for inference and training; only a recorded call keeps the trail
-    recording = _grad_enabled and a.requires_grad
-    trail = []
+    z = mT(a) / s[..., None, None]
     for _ in range(iters):
-        y = av @ z
+        y = a @ z
         t1 = eye7 - y
-        t3 = eye15 - y @ t1
-        p = eye13 - y @ t3
-        if recording:
+        t3 = y @ t1
+        np.subtract(eye15, t3, out=t3)
+        p = y @ t3
+        np.subtract(eye13, p, out=p)
+        if trail is not None:
             trail.append((z, y, t1, t3, p))
-        z = 0.25 * (z @ p)
+        del y, t1, t3  # unless the trail holds them
+        z = z @ p
+        z *= 0.25
+    return z
 
-    def vjp(g):
-        gz = g
-        ga = np.zeros_like(av)
-        for z_t, y, t1, t3, p in reversed(trail):
-            gp = 0.25 * (z_t.T @ gz)
-            gz_t = 0.25 * (gz @ p.T)
-            # p = 13I - y @ t3, t3 = 15I - y @ t1, t1 = 7I - y
-            gt4 = -gp
-            gy = gt4 @ t3.T
-            gt2 = -(y.T @ gt4)
-            gy += gt2 @ t1.T
-            gy -= y.T @ gt2
-            ga += gy @ z_t.T
-            gz = gz_t + av.T @ gy
-        # z0 = a^T / (s1 * s2) with s1, s2 the max abs column / row sums
-        ga += gz.T / s
-        gs = -np.sum(gz * av.T) / (s * s)
-        ga[:, j1] += gs * s2 * np.sign(av[:, j1])
-        ga[i1, :] += gs * s1 * np.sign(av[i1, :])
-        return (ga,)
 
-    return make_node(z, (a,), vjp)
+def pinv_vjp(a: np.ndarray, trail: list, g: np.ndarray) -> np.ndarray:
+    """Gradient of :func:`pinv_iterate`'s input, given its output's gradient ``g``."""
+    gz = g
+    ga = np.zeros(a.shape)
+    for z_t, y, t1, t3, p in reversed(trail):
+        gp = 0.25 * (mT(z_t) @ gz)
+        gz_t = 0.25 * (gz @ mT(p))
+        # p = 13I - y @ t3, t3 = 15I - y @ t1, t1 = 7I - y
+        gt4 = -gp
+        gy = gt4 @ mT(t3)
+        gt2 = -(mT(y) @ gt4)
+        gy += gt2 @ mT(t1)
+        gy -= mT(y) @ gt2
+        ga += gy @ mT(z_t)
+        gz = gz_t + mT(a) @ gy
+    # z0 = a^T / (s1 * s2) with s1, s2 the max abs column / row sums
+    absa = np.abs(a)
+    colsums, rowsums = absa.sum(axis=-2), absa.sum(axis=-1)
+    j1, i1 = colsums.argmax(axis=-1), rowsums.argmax(axis=-1)
+    s1, s2 = colsums.max(axis=-1), rowsums.max(axis=-1)
+    s = s1 * s2
+    ga += mT(gz) / s[..., None, None]
+    gs = -np.sum(gz * mT(a), axis=(-2, -1)) / (s * s)
+    n = a.shape[-1]
+    a3, ga3 = a.reshape(-1, n, n), ga.reshape(-1, n, n)
+    b = np.arange(a3.shape[0])
+    j1, i1 = j1.reshape(-1), i1.reshape(-1)
+    ga3[b, :, j1] += (gs * s2).reshape(-1, 1) * np.sign(a3[b, :, j1])
+    ga3[b, i1, :] += (gs * s1).reshape(-1, 1) * np.sign(a3[b, i1, :])
+    return ga

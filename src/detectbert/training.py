@@ -22,7 +22,7 @@ from .seeding import derive_rng, derive_seed
 
 
 class TrainingDivergedError(RuntimeError):
-    """Raised when the loss becomes non-finite during an epoch."""
+    """Raised when the loss or a gradient becomes non-finite during an epoch."""
 
 
 @dataclass
@@ -311,6 +311,11 @@ def train(config: TrainConfig, train_bags: list[Bag], val_bags: list[Bag], param
                 )
             loss_sum += value
             loss.backward()
+            for name, p in named:
+                if p.grad is not None and not np.isfinite(p.grad).all():
+                    raise TrainingDivergedError(
+                        f"non-finite gradient of {name!r} at epoch {epoch}, bag {bag.app_id!r}"
+                    )
             pending += 1
             if pending == config.batch_size or step_idx == len(order) - 1:
                 if pending > 1:

@@ -164,21 +164,119 @@ class TestMultiHeadNystrom:
         with pytest.raises(ValueError):
             multi_head_nystrom(Tensor(np.zeros((3, 6))), identity_weights(6), heads=4, landmarks=64)
 
+    def test_rows_validated(self):
+        x = Tensor(np.zeros((3, 4)))
+        for rows in (0, 4):
+            with pytest.raises(ValueError):
+                multi_head_nystrom(x, identity_weights(4), heads=2, landmarks=2, rows=rows)
+
     def test_gradcheck_through_full_layer(self):
+        # landmarks == n: the exact branch
+        self.check_layer_gradient(landmarks=5, rows=None, iters=24)
+
+    @pytest.mark.parametrize("rows", [None, 1], ids=["all-rows", "row0"])
+    def test_gradcheck_through_full_layer_nystrom_regime(self, rows):
+        self.check_layer_gradient(landmarks=2, rows=rows, iters=6)
+
+    @staticmethod
+    def check_layer_gradient(landmarks, rows, iters):
         rng = np.random.default_rng(11)
         d, n = 4, 5
         x = Tensor(rng.standard_normal((n, d)), requires_grad=True)
         weights = [
             Tensor(0.5 * rng.standard_normal((d, d)), requires_grad=True) for _ in range(4)
         ]
-        loss_w = rng.standard_normal((n, d))
+        loss_w = rng.standard_normal((rows or n, d))
 
         def build():
-            out = multi_head_nystrom(x, weights, heads=2, landmarks=n)
+            out = multi_head_nystrom(
+                x, weights, heads=2, landmarks=landmarks, iters=iters, rows=rows
+            )
             return nm.sum_all(nm.mul(out, Tensor(loss_w)))
 
         err = gradcheck(build, [x] + weights, step=1e-5)
         assert err < 1e-4, f"max relative gradient error {err:.3e}"
+
+
+def composed_multi_head(x, weights, heads, attend, rows=None):
+    """The per-head 2-D composition that the fused node replaces: the reference it is checked against.
+
+    ``attend(q, k, v)`` runs one head.
+    """
+    w_q, w_k, w_v, w_o = weights
+    q, k, v = nm.matmul(x, w_q), nm.matmul(x, w_k), nm.matmul(x, w_v)
+    width = x.cols // heads
+    outs = []
+    for h in range(heads):
+        lo, hi = h * width, (h + 1) * width
+        outs.append(attend(*(nm.slice_cols(t, lo, hi) for t in (q, k, v))))
+    out = nm.matmul(nm.concat_cols(outs), w_o)
+    return out if rows is None else nm.slice_rows(out, 0, rows)
+
+
+def value_and_grads(build, leaves, loss_w):
+    for t in leaves:
+        t.zero_grad()
+    out = build()
+    nm.sum_all(nm.mul(out, Tensor(loss_w))).backward()
+    return [out.value] + [t.grad for t in leaves]
+
+
+class TestFusedNode:
+    """The fused node against :func:`composed_multi_head`."""
+
+    @pytest.mark.parametrize("case", range(40))
+    def test_matches_composed_path(self, case):
+        rng = np.random.default_rng(100 + case)
+        heads = int(rng.choice([1, 2, 4]))
+        d = heads * int(rng.integers(1, 5))
+        # the sequence length lands below, at and above the landmark count
+        landmarks = int(rng.integers(1, 9))
+        n = landmarks if case % 4 == 1 else max(1, landmarks + int(rng.integers(-3, 6)))
+        if case < 4:
+            n, heads, d = (1, 2, 4, 6)[case], 1, 3
+        rows = 1 if case % 3 == 0 else None
+        iters = int(rng.choice([1, 6, 24]))
+        x = Tensor(rng.standard_normal((n, d)), requires_grad=True)
+        weights = [Tensor(0.5 * rng.standard_normal((d, d)), requires_grad=True) for _ in range(4)]
+        loss_w = rng.standard_normal((rows or n, d))
+        m = min(landmarks, n)
+
+        def attend(q, k, v):
+            return exact_attention(q, k, v) if m == n else nystrom_attention(q, k, v, m, iters)
+
+        fused = value_and_grads(
+            lambda: multi_head_nystrom(x, weights, heads, landmarks, iters, rows), [x] + weights, loss_w
+        )
+        composed = value_and_grads(
+            lambda: composed_multi_head(x, weights, heads, attend, rows), [x] + weights, loss_w
+        )
+        for name, got, want in zip(["value", "x", "w_q", "w_k", "w_v", "w_o"], fused, composed):
+            # a single key leaves q and k without gradient: both paths give exact zeros
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), name
+
+    def test_exact_regime_matches_nystrom_at_full_landmarks(self):
+        rng = np.random.default_rng(12)
+        for n in (1, 2, 5, 12, 33):
+            heads = 2
+            x = Tensor(rng.standard_normal((n, 8)))
+            weights = [Tensor(0.5 * rng.standard_normal((8, 8))) for _ in range(4)]
+            fused = multi_head_nystrom(x, weights, heads, landmarks=n).value
+            nystrom = composed_multi_head(
+                x, weights, heads, lambda q, k, v: nystrom_attention(q, k, v, n, 24)
+            ).value
+            assert rel_frob(fused, nystrom) < 1e-5
+
+    def test_no_grad_call_gives_the_recorded_bits(self):
+        rng = np.random.default_rng(13)
+        for n, landmarks in ((6, 8), (40, 5)):
+            x = Tensor(rng.standard_normal((n, 8)), requires_grad=True)
+            weights = [Tensor(0.5 * rng.standard_normal((8, 8)), requires_grad=True) for _ in range(4)]
+            recorded = multi_head_nystrom(x, weights, 4, landmarks, 6, rows=1)
+            assert recorded.requires_grad
+            with nm.no_grad():
+                plain = multi_head_nystrom(x, weights, 4, landmarks, 6, rows=1)
+            assert np.array_equal(recorded.value, plain.value)
 
 
 class TestApproximationQuality:

@@ -1,11 +1,16 @@
 """End-to-end command-line tests (in-process, tiny datasets)."""
 
 import argparse
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import detectbert
 from detectbert.cli import TRAIN_DEFAULTS, _field_defaults, build_parser, main, resolve_settings
 from detectbert.data import BAG_MAGIC, BAG_VERSION, SynthConfig
 from detectbert.model import load_checkpoint
@@ -24,6 +29,30 @@ def dataset(tmp_path):
 
 
 FAST = ["--epochs", "1", "--heads", "2", "--landmarks", "4", "--seed", "5"]
+
+
+class TestReproducibility:
+    def test_train_rerun_is_byte_identical_at_a_fixed_blas_thread_count(self, tmp_path):
+        """The README's contract: the same flags, seed, numpy/BLAS build and BLAS
+        thread count give the same bytes.  A wide product's last bits can
+        change with the thread count, so both runs pin it."""
+        data = tmp_path / "data"
+        assert run(["gen-synth", "--out", data, "--bags", "30", "--dim", "128",
+                    "--bag-size-min", "10", "--bag-size-max", "60", "--seed", "7"]) == 0
+        src = str(Path(detectbert.__file__).resolve().parents[1])
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "2",
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        outputs = []
+        for out in (tmp_path / "a", tmp_path / "b"):
+            subprocess.run(
+                [sys.executable, "-m", "detectbert", "train", "--manifest", data / "manifest.csv",
+                 "--out", out, "--epochs", "1", "--heads", "8", "--landmarks", "16",
+                 "--pinv-iters", "6", "--seed", "7"],
+                env=env, check=True, capture_output=True, timeout=300,
+            )
+            outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert "checkpoint.dbck" in outputs[0]
+        assert outputs[0] == outputs[1]
 
 
 class TestGenSynth:

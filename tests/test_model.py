@@ -130,10 +130,19 @@ class TestForward:
         assert params.tensors["category_vector"].grad is not None
 
     def test_gradcheck_small_model(self):
+        # n + 1 <= landmarks: every block takes the exact branch
+        self.check_model_gradient(d=4, n=3, landmarks=16, pinv_iters=24)
+
+    def test_gradcheck_small_model_nystrom_regime(self):
+        # n + 1 > landmarks: the gradient runs through the pinv backward in every block
+        self.check_model_gradient(d=8, n=9, landmarks=4, pinv_iters=6)
+
+    @staticmethod
+    def check_model_gradient(d, n, landmarks, pinv_iters):
         rng = np.random.default_rng(5)
-        cfg = ModelConfig(d=4, num_blocks=2, heads=2, landmarks=16)
+        cfg = ModelConfig(d=d, num_blocks=2, heads=2, landmarks=landmarks, pinv_iters=pinv_iters)
         params = scaled_model_params(cfg, seed=12)
-        bag = make_bag(rng, n=3, d=4)
+        bag = make_bag(rng, n=n, d=d)
         tensors = [p for _, p in params.named_parameters()]
         err = gradcheck(lambda: forward(bag, params), tensors, step=1e-5)
         assert err < 1e-4, f"max relative gradient error {err:.3e}"
@@ -258,6 +267,9 @@ class TestCheckpoints:
             (b"d=4\n", b"d=1024\n", CheckpointTruncatedError),
             (b"d=4\nnum_blocks=2\nheads=2\n", b"d=1\nnum_blocks=10000\nheads=1\n",
              CheckpointTruncatedError),
+            (b"kind=detectbert", b"kind=detectber\xff", CheckpointError),
+            # a tensor name rather than the metadata
+            (b"category_vector", b"category_vecto\xff", CheckpointError),
         ],
     )
     def test_unsupported_metadata_rejected(self, tmp_path, allocates_under, old, new, error):
@@ -265,10 +277,12 @@ class TestCheckpoints:
         save_checkpoint(init_params(ModelConfig(d=4, heads=2), seed=0), path)
         raw = path.read_bytes()
         meta_len = int.from_bytes(raw[8:12], "little")
-        meta = raw[12:12 + meta_len]
-        assert meta.count(old) == 1
-        meta = meta.replace(old, new)
-        path.write_bytes(raw[:8] + len(meta).to_bytes(4, "little") + meta + raw[12 + meta_len:])
+        assert raw.count(old) == 1
+        at = raw.index(old)
+        if at < 12 + meta_len:
+            meta_len += len(new) - len(old)
+        raw = raw[:at] + new + raw[at + len(old):]
+        path.write_bytes(raw[:8] + meta_len.to_bytes(4, "little") + raw[12:])
         with allocates_under(1 << 20), pytest.raises(error):
             load_checkpoint(path)
 
