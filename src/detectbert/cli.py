@@ -6,6 +6,8 @@ layers: subcommand defaults, then an optional key=value config file, then
 explicit flags.  Every run writes its fully resolved configuration next
 to its outputs, and machine-readable outputs carry no timestamps, so a
 rerun with identical flags and seed reproduces them byte for byte.
+Commands read each bag from its file when they use it, so memory is set by
+the largest bag and the model, not by the number of bags.
 """
 
 from __future__ import annotations
@@ -132,7 +134,12 @@ def _out_dir(args) -> Path:
 
 
 def _train_model(settings: dict, manifest, plan):
-    """Train the ``--model`` choice on the plan's train split; returns the TrainResult."""
+    """Train the ``--model`` choice on the plan's train split; returns the TrainResult.
+
+    The split's bags stay in their files until training reads them (see
+    :func:`data.load_bags`), so a malformed bag file stops the run when it is
+    reached, before training returns.
+    """
     tc = _from_settings(TrainConfig, settings)
     mc = _from_settings(ModelConfig, settings, d=_manifest_dim(manifest))
     params = MODELS[settings["model"]](mc, tc.seed)

@@ -16,6 +16,7 @@ import datetime as dt
 import math
 import os
 import struct
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -173,8 +174,27 @@ def load_bag(record: ManifestRecord) -> Bag:
     return read_bag(record.path, app_id=record.app_id, label=record.label, date=record.date)
 
 
-def load_bags(manifest: DatasetManifest, indices) -> list[Bag]:
-    return [load_bag(manifest.records[i]) for i in indices]
+class BagFiles(Sequence):
+    """Read-only bags backed by their files: each access reads that one bag.
+
+    Indexing or iterating goes through :func:`load_bag`, with every check of
+    :func:`read_bag`, and keeps nothing, so memory is set by the bag in use,
+    not by the number of bags; a malformed file fails when it is first read.
+    """
+
+    def __init__(self, records):
+        self.records = list(records)
+
+    def __len__(self) -> int:
+        return len(self.records)
+
+    def __getitem__(self, i: int) -> Bag:
+        return load_bag(self.records[i])
+
+
+def load_bags(manifest: DatasetManifest, indices) -> BagFiles:
+    """The manifest's bags at ``indices``, in that order, read from disk on access."""
+    return BagFiles(manifest.records[i] for i in indices)
 
 
 # ---------------------------------------------------------------------------

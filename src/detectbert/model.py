@@ -11,7 +11,6 @@ gradient is ever computed for them.
 from __future__ import annotations
 
 import datetime as dt
-import io
 import math
 import os
 import struct
@@ -254,26 +253,26 @@ def _meta_lines(pairs: dict) -> bytes:
     return "".join(f"{k}={v}\n" for k, v in pairs.items()).encode()
 
 
-def _write_tensor(buf, name: str, value: np.ndarray):
+def _write_tensor(f, name: str, value: np.ndarray):
     encoded = name.encode()
-    buf.write(struct.pack("<I", len(encoded)))
-    buf.write(encoded)
-    buf.write(struct.pack("<II", value.shape[0], value.shape[1]))
-    buf.write(np.ascontiguousarray(value, dtype="<f8").tobytes())
+    f.write(struct.pack("<I", len(encoded)))
+    f.write(encoded)
+    f.write(struct.pack("<II", value.shape[0], value.shape[1]))
+    f.write(np.ascontiguousarray(value, dtype="<f8"))
 
 
 def save_checkpoint(params, path):
-    """Write attention-head or baseline parameters to ``path``; the round-trip is bit-exact."""
-    buf = io.BytesIO()
-    buf.write(CHECKPOINT_MAGIC)
-    buf.write(struct.pack("<I", CHECKPOINT_VERSION))
+    """Write attention-head or baseline parameters to ``path``; the round-trip is bit-exact.
+
+    Each record goes straight to the file, so saving holds no copy of it.
+    """
     meta_bytes = _meta_lines(params.checkpoint_meta())
-    buf.write(struct.pack("<I", len(meta_bytes)))
-    buf.write(meta_bytes)
-    for name, tensor in params.named_parameters():
-        _write_tensor(buf, name, tensor.value)
     with open(path, "wb") as f:
-        f.write(buf.getvalue())
+        f.write(CHECKPOINT_MAGIC)
+        f.write(struct.pack("<II", CHECKPOINT_VERSION, len(meta_bytes)))
+        f.write(meta_bytes)
+        for name, tensor in params.named_parameters():
+            _write_tensor(f, name, tensor.value)
 
 
 def _read_exact(f, count: int, what: str, end: int) -> bytes:

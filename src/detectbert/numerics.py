@@ -189,29 +189,13 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return make_node(a.value + b.value, (a, b), lambda g: (g, g))
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
+def mul(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise product of two same-shape tensors."""
     a, b = as_tensor(a), as_tensor(b)
     if a.shape != b.shape:
-        raise ShapeError(f"sub: shapes {a.shape} and {b.shape} differ")
-    return make_node(a.value - b.value, (a, b), lambda g: (g, -g))
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise product; one operand may be 1x1 (scalar broadcast)."""
-    a, b = as_tensor(a), as_tensor(b)
-    if a.shape == b.shape:
-        av, bv = a.value, b.value
-        return make_node(av * bv, (a, b), lambda g: (g * bv, g * av))
-    if b.value.size == 1:
-        av, s = a.value, b.value
-
-        def vjp(g):
-            return g * s[0, 0], np.array([[np.sum(g * av)]])
-
-        return make_node(av * s[0, 0], (a, b), vjp)
-    if a.value.size == 1:
-        return mul(b, a)
-    raise ShapeError(f"mul: shapes {a.shape} and {b.shape} differ")
+        raise ShapeError(f"mul: shapes {a.shape} and {b.shape} differ")
+    av, bv = a.value, b.value
+    return make_node(av * bv, (a, b), lambda g: (g * bv, g * av))
 
 
 def scale(a: Tensor, c: float) -> Tensor:
@@ -312,12 +296,14 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     if eps <= 0:
         raise ValueError("layer_norm: eps must be positive")
     xv = x.value
-    mu = xv.mean(axis=1, keepdims=True)
-    xc = xv - mu
-    var = np.mean(xc * xc, axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
+    xhat = xv - xv.mean(axis=1, keepdims=True)
+    out = xhat * xhat
+    inv = 1.0 / np.sqrt(out.mean(axis=1, keepdims=True) + eps)
+    xhat *= inv
     gv = gamma.value
+    # the squares' buffer becomes the output: two full-size arrays in all
+    np.multiply(xhat, gv, out=out)
+    out += beta.value
 
     def vjp(g):
         dgamma = np.sum(g * xhat, axis=0, keepdims=True)
@@ -328,7 +314,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
         dx = inv * (dxhat - m1 - xhat * m2)
         return dx, dgamma, dbeta
 
-    return make_node(xhat * gv + beta.value, (x, gamma, beta), vjp)
+    return make_node(out, (x, gamma, beta), vjp)
 
 
 def segment_bounds(rows: int, m: int):

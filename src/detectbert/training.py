@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import copy
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -278,14 +279,19 @@ class TrainResult:
     history: list[dict] = field(default_factory=list)
 
 
-def train(config: TrainConfig, train_bags: list[Bag], val_bags: list[Bag], params) -> TrainResult:
+def train(
+    config: TrainConfig, train_bags: Sequence[Bag], val_bags: Sequence[Bag], params
+) -> TrainResult:
     """Run the epoch loop from ``params`` and return the best-validation-F1 parameters.
 
     ``params`` is the attention head's or a baseline's freshly initialized
     parameters (anything with ``logit``, ``named_parameters`` and
-    ``zero_grads``); it is updated in place.  Fully deterministic given the
-    config seed: per-epoch bag order and baseline instance redraws derive
-    from it by name.
+    ``zero_grads``); it is updated in place.  Each bag is taken from its
+    sequence when it is used (a training bag when the epoch order reaches
+    it, a validation bag when it is scored), so file-backed sequences
+    (:func:`data.load_bags`) hold one bag at a time.  Fully deterministic
+    given the config seed: per-epoch bag order and baseline instance redraws
+    derive from it by name.
     """
     if not train_bags:
         raise ValueError("training split is empty")
@@ -342,8 +348,8 @@ def train(config: TrainConfig, train_bags: list[Bag], val_bags: list[Bag], param
     return TrainResult(params=best_params, best_epoch=best_epoch, best_f1=best_f1, history=history)
 
 
-def evaluate(params, bags: list[Bag], threshold: float = 0.5):
-    """Score every bag with :func:`predict`.
+def evaluate(params, bags: Sequence[Bag], threshold: float = 0.5):
+    """Score every bag with :func:`predict`, taking each from ``bags`` as it is scored.
 
     Returns (Metrics, per-app records ordered by app id).
     """

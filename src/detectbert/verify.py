@@ -219,12 +219,19 @@ def run_gradcheck_suite(seed: int = 0) -> list[CheckResult]:
 
     import datetime as dt
 
-    cfg = ModelConfig(d=8, num_blocks=2, heads=2, landmarks=16)
-    params = scaled_model_params(cfg, seed=seed + 1)
-    bag = Bag("gradcheck", 1, dt.date(2019, 1, 1), rng.standard_normal((5, 8)))
-    tensors = [p for _, p in params.named_parameters()]
-    err = gradcheck(lambda: forward(bag, params), tensors, step=1e-5)
-    results.append(CheckResult("gradcheck/full_model", err < 1e-4, err, "< 1e-4"))
+    # n + 1 <= landmarks takes the exact branch; n + 1 > landmarks the Nystrom
+    # branch, whose backward runs through the pinv in every block
+    models = [
+        ("full_model", 5, ModelConfig(d=8, num_blocks=2, heads=2, landmarks=16)),
+        ("full_model_nystrom", 9, ModelConfig(d=8, num_blocks=2, heads=2, landmarks=4,
+                                                pinv_iters=6)),
+    ]
+    for name, n, cfg in models:
+        params = scaled_model_params(cfg, seed=seed + 1)
+        bag = Bag("gradcheck", 1, dt.date(2019, 1, 1), rng.standard_normal((n, cfg.d)))
+        tensors = [p for _, p in params.named_parameters()]
+        err = gradcheck(lambda: forward(bag, params), tensors, step=1e-5)
+        results.append(CheckResult(f"gradcheck/{name}", err < 1e-4, err, "< 1e-4"))
     return results
 
 

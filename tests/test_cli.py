@@ -5,6 +5,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 import detectbert
 from detectbert.cli import TRAIN_DEFAULTS, _field_defaults, build_parser, main, resolve_settings
 from detectbert.data import BAG_MAGIC, BAG_VERSION, SynthConfig
-from detectbert.model import load_checkpoint
+from detectbert.model import ModelConfig, init_params, load_checkpoint, save_checkpoint
 
 
 def run(argv):
@@ -289,6 +290,95 @@ class TestCheckpointErrors:
         line = single_error_line(capsys)
         assert ("'heads'" if corrupt == "missing-key" else "non-finite") in line
         assert not (tmp_path / "e" / "scores.csv").exists()
+
+
+def _split_rows(path: Path) -> list[list[str]]:
+    return [line.split(",") for line in path.read_text().splitlines()[1:]]
+
+
+class TestMalformedBagFile:
+    """Bags are read when a command first uses them, so a bad file fails mid-run."""
+
+    @pytest.fixture()
+    def truncated(self, dataset, tmp_path):
+        """A trained baseline's run directory and one of its training bags, cut short."""
+        run_dir = tmp_path / "run"
+        run(["train", "--manifest", dataset / "manifest.csv", "--out", run_dir,
+             "--model", "baseline-average"] + FAST)
+        # not index 0, which `train` reads up front for the embedding width
+        app_id = next(
+            app_id for idx, app_id, role in _split_rows(run_dir / "split.csv")
+            if role == "train" and idx != "0"
+        )
+        bag = dataset / "bags" / f"{app_id}.dbmb"
+        bag.write_bytes(bag.read_bytes()[:-4])
+        return run_dir, bag
+
+    def test_train_is_one_error_line_and_no_checkpoint(self, dataset, truncated, tmp_path,
+                                                       capsys):
+        _, bag = truncated
+        capsys.readouterr()
+        out = tmp_path / "r"
+        code = run(["train", "--manifest", dataset / "manifest.csv", "--out", out] + FAST)
+        assert code == 1
+        line = single_error_line(capsys)
+        assert f"{bag}: expected" in line and "payload bytes" in line
+        assert not (out / "checkpoint.dbck").exists()
+
+    def test_evaluate_is_one_error_line_and_no_scores(self, dataset, truncated, tmp_path,
+                                                      capsys):
+        run_dir, bag = truncated
+        capsys.readouterr()
+        out = tmp_path / "e"
+        code = run(["evaluate", "--manifest", dataset / "manifest.csv",
+                    "--checkpoint", run_dir / "checkpoint.dbck", "--out", out])
+        assert code == 1
+        line = single_error_line(capsys)
+        assert f"{bag}: expected" in line and "payload bytes" in line
+        assert not (out / "scores.csv").exists()
+
+
+class TestMemory:
+    """Peak memory is set by the largest bag and the model, not by the number of bags."""
+
+    CORPUS = ["--dim", "16", "--bag-size-min", "60", "--bag-size-max", "120", "--seed", "3"]
+    MODEL = ModelConfig(d=16, heads=2, landmarks=8, pinv_iters=6)
+    # Bytes.  150 more bags of this shape hold about 1.7 MB of embeddings; their
+    # manifest records, split entries and score rows take about 1 KB each.
+    MARGIN = 500_000
+
+    @pytest.fixture(scope="class")
+    def corpora(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("corpora")
+        for bags in (50, 200):
+            assert run(["gen-synth", "--out", root / str(bags), "--bags", bags] + self.CORPUS) == 0
+        save_checkpoint(init_params(self.MODEL, seed=3), root / "model.dbck")
+        return root
+
+    @staticmethod
+    def traced_peak(argv) -> int:
+        tracemalloc.start()
+        try:
+            assert run(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("command", ["evaluate", "train"])
+    def test_peak_does_not_grow_with_the_corpus(self, corpora, tmp_path, command):
+        m = self.MODEL
+
+        def argv(bags, out):
+            manifest = ["--manifest", corpora / str(bags) / "manifest.csv", "--out", tmp_path / out]
+            if command == "evaluate":
+                return ["evaluate", *manifest, "--checkpoint", corpora / "model.dbck"]
+            return ["train", *manifest, "--epochs", 1, "--heads", m.heads,
+                    "--landmarks", m.landmarks, "--pinv-iters", m.pinv_iters, "--seed", 3]
+
+        run(argv(50, "warm-up"))  # one-time allocations (caches, lazy imports) happen here
+        small = self.traced_peak(argv(50, "small"))
+        large = self.traced_peak(argv(200, "large"))
+        assert large < small + self.MARGIN, f"traced peak {small} B at 50 bags, {large} B at 200"
 
 
 def flag_table(parser) -> dict:

@@ -14,6 +14,7 @@ from detectbert.verify import (
     entropy_gap_bruteforce,
     gradcheck,
     product_joint,
+    run_gradcheck_suite,
 )
 
 
@@ -56,6 +57,13 @@ class TestGradcheck:
 
         err = gradcheck(lambda: nm.sum_all(corrupted_square(a)), [a])
         assert err > 1e-2
+
+    def test_suite_reaches_the_nystrom_branch_of_the_model(self):
+        """The model check at n + 1 > landmarks runs the pinv backward in every block."""
+        results = {r.name: r for r in run_gradcheck_suite(seed=0)}
+        check = results["gradcheck/full_model_nystrom"]
+        assert check.passed and check.value < 1e-4
+        assert results["gradcheck/full_model"].passed
 
     def test_rejects_nonpositive_step(self):
         a = Tensor(np.ones((1, 1)), requires_grad=True)
