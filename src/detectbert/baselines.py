@@ -18,7 +18,23 @@ from .model import Bag, init_tensors
 from .numerics import Tensor
 from .seeding import derive_rng
 
-BASELINE_KINDS = ("random_selection", "elementwise_addition", "elementwise_average")
+
+def select_index(app_id: str, n: int, seed: int) -> int:
+    """Uniform instance choice, a pure function of (app_id, seed)."""
+    return int(derive_rng(seed, "baseline-select", app_id).integers(n))
+
+
+def _random_selection(bag: Bag, seed: int) -> np.ndarray:
+    return bag.embeddings[select_index(bag.app_id, bag.size, seed)].reshape(1, -1).copy()
+
+
+# checkpoint kind -> aggregation of a bag to a 1 x d vector, given the selection seed
+AGGREGATORS = {
+    "random_selection": _random_selection,
+    "elementwise_addition": lambda bag, seed: bag.embeddings.sum(axis=0, keepdims=True),
+    "elementwise_average": lambda bag, seed: bag.embeddings.mean(axis=0, keepdims=True),
+}
+BASELINE_KINDS = tuple(AGGREGATORS)
 
 
 @dataclass
@@ -29,7 +45,7 @@ class BaselineParams:
     eval_seed: int
 
     def __post_init__(self):
-        if self.kind not in BASELINE_KINDS:
+        if self.kind not in AGGREGATORS:
             raise ValueError(
                 f"unknown baseline kind {self.kind!r}; expected one of {BASELINE_KINDS}"
             )
@@ -69,11 +85,6 @@ def baseline_from_meta(meta: dict):
     return param_shapes(int(meta["d"])), lambda t: BaselineParams(kind, **t, eval_seed=eval_seed)
 
 
-def select_index(app_id: str, n: int, seed: int) -> int:
-    """Uniform instance choice, a pure function of (app_id, seed)."""
-    return int(derive_rng(seed, "baseline-select", app_id).integers(n))
-
-
 def aggregate(bag: Bag, params: BaselineParams, epoch_seed: int) -> np.ndarray:
     """Compress the bag to a 1 x d vector according to ``params.kind``.
 
@@ -81,14 +92,7 @@ def aggregate(bag: Bag, params: BaselineParams, epoch_seed: int) -> np.ndarray:
     training callers mix the epoch index into the seed to redraw each
     epoch, evaluation passes the fixed ``eval_seed``.
     """
-    if bag.size < 1:
-        raise ValueError(f"aggregate: bag {bag.app_id!r} is empty")
-    if params.kind == "random_selection":
-        row = bag.embeddings[select_index(bag.app_id, bag.size, epoch_seed)]
-        return row.reshape(1, -1).copy()
-    if params.kind == "elementwise_addition":
-        return bag.embeddings.sum(axis=0, keepdims=True)
-    return bag.embeddings.mean(axis=0, keepdims=True)
+    return AGGREGATORS[params.kind](bag, epoch_seed)
 
 
 def baseline_forward(bag: Bag, params: BaselineParams, epoch_seed: int) -> Tensor:

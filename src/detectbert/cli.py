@@ -17,16 +17,11 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-from .data import (
-    SynthConfig,
-    dataset_stats,
-    gen_synthetic,
-    load_bags,
-    load_manifest,
-)
+from .data import SynthConfig, bag_width, dataset_stats, gen_synthetic, load_bags, load_manifest
 from .baselines import init_baseline
-from .model import ModelConfig, init_params, load_checkpoint, save_checkpoint
+from .model import KIND, ModelConfig, init_params, load_checkpoint, save_checkpoint
 from .training import (
+    RATES,
     TrainConfig,
     evaluate,
     format_metrics_block,
@@ -43,13 +38,16 @@ def _baseline(kind):
     return lambda model_config, seed: init_baseline(kind, model_config.d, seed)
 
 
-# --model flag -> fresh parameters from (ModelConfig, seed)
+# --model flag -> fresh parameters from (ModelConfig, seed), in compare-baselines order
 MODELS = {
-    "detectbert": init_params,
     "baseline-random": _baseline("random_selection"),
     "baseline-addition": _baseline("elementwise_addition"),
     "baseline-average": _baseline("elementwise_average"),
+    KIND: init_params,
 }
+# The roles of a split, in split-file order, and the split file's header.
+ROLES = ("train", "validation", "test")
+SPLIT_HEADER = "index,app_id,role"
 
 # Setting names (flags, config-file keys) that differ from their dataclass field.
 SETTING_NAMES = {"num_bags": "bags", "d": "dim", "num_blocks": "blocks"}
@@ -83,7 +81,7 @@ def _from_settings(cls, settings: dict, **fixed):
 
 
 TRAIN_DEFAULTS = {
-    "model": "detectbert",
+    "model": KIND,
     "repetition": 0,
     **_field_defaults(TrainConfig),
     **_field_defaults(ModelConfig, MODEL_SETTINGS),
@@ -141,7 +139,7 @@ def _train_model(settings: dict, manifest, plan):
     reached, before training returns.
     """
     tc = _from_settings(TrainConfig, settings)
-    mc = _from_settings(ModelConfig, settings, d=_manifest_dim(manifest))
+    mc = _from_settings(ModelConfig, settings, d=bag_width(manifest.records[0].path))
     params = MODELS[settings["model"]](mc, tc.seed)
     return train(
         tc, load_bags(manifest, plan.train), load_bags(manifest, plan.validation), params
@@ -166,8 +164,8 @@ def _fmt_cell(v):
 
 
 def _write_split(plan, manifest, path: Path):
-    lines = ["index,app_id,role"]
-    for role in ("train", "validation", "test"):
+    lines = [SPLIT_HEADER]
+    for role in ROLES:
         for idx in getattr(plan, role):
             lines.append(f"{idx},{manifest.records[idx].app_id},{role}")
     path.write_text("\n".join(lines) + "\n")
@@ -175,9 +173,12 @@ def _write_split(plan, manifest, path: Path):
 
 def _read_split(path: Path, manifest) -> dict:
     """Manifest indices by role, each line checked against the manifest record it names."""
-    roles = {"train": [], "validation": [], "test": []}
+    roles = {role: [] for role in ROLES}
     records = manifest.records
     lines = Path(path).read_text().splitlines()
+    header = lines[0] if lines else ""
+    if header != SPLIT_HEADER:
+        raise ValueError(f"{path}:1: header must be {SPLIT_HEADER!r}, got {header!r}")
     for lineno, line in enumerate(lines[1:], start=2):
         where = f"{path}:{lineno}"
         cells = line.split(",")
@@ -199,11 +200,6 @@ def _read_split(path: Path, manifest) -> dict:
             )
         roles[role].append(i)
     return roles
-
-
-def _manifest_dim(manifest) -> int:
-    bag = load_bags(manifest, [0])[0]
-    return bag.dim
 
 
 # ---------------------------------------------------------------------------
@@ -280,9 +276,8 @@ def cmd_protocol_shuffled(args) -> int:
         (out / f"rep{rep}_scores.csv").write_text(format_per_app(per_app))
         report.append(f"[repetition {rep}]\n" + format_metrics_block(metrics))
         all_metrics.append(metrics)
-    means = mean_metric_values(all_metrics)
     mean_block = "[mean over repetitions]\n" + "".join(
-        f"{k}={means[k]:.2f}\n" for k in ("accuracy", "precision", "recall", "f1")
+        f"{k}={v:.2f}\n" for k, v in mean_metric_values(all_metrics).items()
     )
     report.append(mean_block)
     (out / "report.txt").write_text("\n".join(report))
@@ -315,14 +310,11 @@ def cmd_compare_baselines(args) -> int:
     out = _out_dir(args)
     manifest = load_manifest(args.manifest)
     plan = split_shuffled(manifest, settings["seed"], settings["repetition"])
-    lines = ["model,accuracy,precision,recall,f1"]
+    lines = [",".join(("model",) + RATES)]
     report = []
-    for flag in ("baseline-random", "baseline-addition", "baseline-average", "detectbert"):
+    for flag in MODELS:
         metrics, _ = _run_one_protocol_rep(manifest, plan, {**settings, "model": flag})
-        lines.append(
-            f"{flag},{metrics.accuracy:.2f},{metrics.precision:.2f},"
-            f"{metrics.recall:.2f},{metrics.f1:.2f}"
-        )
+        lines.append(",".join([flag] + [f"{getattr(metrics, k):.2f}" for k in RATES]))
         report.append(f"[{flag}]\n" + format_metrics_block(metrics))
     (out / "comparison.csv").write_text("\n".join(lines) + "\n")
     (out / "report.txt").write_text("\n".join(report))
@@ -390,9 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--checkpoint", required=True)
     ev.add_argument("--out", required=True)
     ev.add_argument("--split-file", dest="split_file", default=None)
-    ev.add_argument(
-        "--subset", choices=("train", "validation", "test"), default="test"
-    )
+    ev.add_argument("--subset", choices=ROLES, default="test")
     _add_setting_flags(ev, TrainConfig, ("threshold",))
     ev.set_defaults(func=cmd_evaluate)
 

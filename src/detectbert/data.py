@@ -62,30 +62,46 @@ def write_bag(bag: Bag, path):
         f.write(np.ascontiguousarray(bag.embeddings, dtype="<f4").tobytes())
 
 
+def _read_header(f, path) -> tuple[int, int]:
+    """Check a bag file's header against the file's size; returns (n, d).
+
+    The payload size it declares is checked before anything reads it, so a
+    header cannot size an allocation beyond the file.
+    """
+    magic = f.read(4)
+    if len(magic) < 4 or magic != BAG_MAGIC:
+        raise BagMagicError(f"{path}: bad magic {magic!r}")
+    header = f.read(12)
+    if len(header) != 12:
+        raise BagTruncatedError(f"{path}: file ends inside the header")
+    version, n, d = struct.unpack("<III", header)
+    if version != BAG_VERSION:
+        raise BagVersionError(f"{path}: unsupported version {version}")
+    if n == 0:
+        raise BagEmptyError(f"{path}: bag declares zero instances")
+    if d == 0:
+        raise BagEmptyError(f"{path}: bag declares zero-width embeddings")
+    size, available = n * d * 4, os.fstat(f.fileno()).st_size - f.tell()
+    if size > available:
+        raise BagTruncatedError(f"{path}: expected {size} payload bytes, found {available}")
+    if size < available:
+        raise BagFormatError(f"{path}: trailing bytes after payload")
+    return n, d
+
+
+def bag_width(path) -> int:
+    """The embedding width ``d`` of a bag file, after every header check of :func:`read_bag`."""
+    with open(path, "rb") as f:
+        return _read_header(f, path)[1]
+
+
 def read_bag(path, app_id: str = "", label: int = 0, date: dt.date | None = None) -> Bag:
     """Load a bag file; metadata fields come from the caller (the manifest)."""
     with open(path, "rb") as f:
-        magic = f.read(4)
-        if len(magic) < 4 or magic != BAG_MAGIC:
-            raise BagMagicError(f"{path}: bad magic {magic!r}")
-        header = f.read(12)
-        if len(header) != 12:
-            raise BagTruncatedError(f"{path}: file ends inside the header")
-        version, n, d = struct.unpack("<III", header)
-        if version != BAG_VERSION:
-            raise BagVersionError(f"{path}: unsupported version {version}")
-        if n == 0:
-            raise BagEmptyError(f"{path}: bag declares zero instances")
-        if d == 0:
-            raise BagEmptyError(f"{path}: bag declares zero-width embeddings")
-        size = n * d * 4
-        available = os.fstat(f.fileno()).st_size - f.tell()
-        # checked before reading, so a header cannot size an allocation beyond the file
-        payload = f.read(size) if size <= available else b""
-        if len(payload) != size:
-            raise BagTruncatedError(f"{path}: expected {size} payload bytes, found {available}")
-        if f.read(1):
-            raise BagFormatError(f"{path}: trailing bytes after payload")
+        n, d = _read_header(f, path)
+        payload = f.read(n * d * 4)
+    if len(payload) != n * d * 4:
+        raise BagTruncatedError(f"{path}: expected {n * d * 4} payload bytes, read {len(payload)}")
     values = np.frombuffer(payload, dtype="<f4").reshape(n, d).astype(np.float64)
     return Bag(app_id=app_id, label=label, date=date, embeddings=values)
 
@@ -170,15 +186,11 @@ def load_manifest(path) -> DatasetManifest:
     return DatasetManifest(records=records)
 
 
-def load_bag(record: ManifestRecord) -> Bag:
-    return read_bag(record.path, app_id=record.app_id, label=record.label, date=record.date)
-
-
 class BagFiles(Sequence):
     """Read-only bags backed by their files: each access reads that one bag.
 
-    Indexing or iterating goes through :func:`load_bag`, with every check of
-    :func:`read_bag`, and keeps nothing, so memory is set by the bag in use,
+    Indexing or iterating goes through :func:`read_bag`, with all of its
+    checks, and keeps nothing, so memory is set by the bag in use,
     not by the number of bags; a malformed file fails when it is first read.
     """
 
@@ -189,7 +201,8 @@ class BagFiles(Sequence):
         return len(self.records)
 
     def __getitem__(self, i: int) -> Bag:
-        return load_bag(self.records[i])
+        rec = self.records[i]
+        return read_bag(rec.path, app_id=rec.app_id, label=rec.label, date=rec.date)
 
 
 def load_bags(manifest: DatasetManifest, indices) -> BagFiles:

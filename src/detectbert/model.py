@@ -23,6 +23,8 @@ from .attention import multi_head_nystrom
 from .numerics import DEFAULT_PINV_ITERS, ShapeError, Tensor, no_grad
 from .seeding import derive_rng
 
+# the attention head's checkpoint kind, which is also its ``--model`` flag
+KIND = "detectbert"
 CHECKPOINT_MAGIC = b"DBCK"
 CHECKPOINT_VERSION = 1
 PROJECTION_STD = 0.02
@@ -129,7 +131,7 @@ class ModelParams:
         """The checkpoint header's key=value metadata, in file order."""
         cfg = self.config
         return {
-            "kind": "detectbert",
+            "kind": KIND,
             "d": cfg.d,
             "num_blocks": cfg.num_blocks,
             "heads": cfg.heads,
@@ -328,12 +330,12 @@ def load_checkpoint(path):
     file before anything of that size is read or allocated.  Raises
     distinct errors for a wrong magic, an unsupported version, a truncated
     file, and a tensor name the declared configuration does not expect;
-    missing or invalid metadata, a wrong tensor shape and non-finite
-    tensor values raise :class:`CheckpointError`.
+    missing or invalid metadata, a repeated tensor, a wrong tensor shape
+    and non-finite tensor values raise :class:`CheckpointError`.
     """
     from .baselines import BASELINE_KINDS, baseline_from_meta
 
-    loaders = {"detectbert": _params_from_meta, **dict.fromkeys(BASELINE_KINDS, baseline_from_meta)}
+    loaders = {KIND: _params_from_meta, **dict.fromkeys(BASELINE_KINDS, baseline_from_meta)}
     with open(path, "rb") as f:
         end = os.fstat(f.fileno()).st_size
         magic = _read_exact(f, 4, "magic", end)
@@ -347,7 +349,7 @@ def load_checkpoint(path):
         (meta_len,) = struct.unpack("<I", _read_exact(f, 4, "metadata length", end))
         meta = _parse_meta(_read_exact(f, meta_len, "metadata", end))
 
-        kind = meta.get("kind", "detectbert")
+        kind = meta.get("kind", KIND)
         if kind not in loaders:
             raise CheckpointError(f"unknown model kind {kind!r} in checkpoint")
         try:
@@ -376,6 +378,8 @@ def load_checkpoint(path):
             name = _decode(_read_exact(f, name_len, "tensor name", end), "tensor name")
             if name not in declared:
                 raise CheckpointUnknownTensorError(f"unknown tensor {name!r} in checkpoint")
+            if name in tensors:
+                raise CheckpointError(f"tensor {name!r} appears twice in checkpoint")
             shape = struct.unpack("<II", _read_exact(f, 8, f"shape of {name!r}", end))
             if shape != declared[name]:
                 raise CheckpointError(

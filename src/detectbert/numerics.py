@@ -85,22 +85,10 @@ class Tensor:
     def zero_grad(self):
         self.grad = None
 
-    def backward(self, seed=None):
-        """Accumulate gradients of this tensor into every reachable leaf.
-
-        ``seed`` is the upstream gradient; it defaults to ones (so a 1x1
-        loss tensor needs no argument).
-        """
-        if seed is None:
-            seed = np.ones_like(self.value)
-        else:
-            seed = np.asarray(seed, dtype=np.float64)
-            if seed.shape != self.value.shape:
-                raise ShapeError(
-                    f"seed gradient shape {seed.shape} != value shape {self.value.shape}"
-                )
+    def backward(self):
+        """Accumulate this tensor's gradient (upstream ones) into every reachable leaf."""
         order = _toposort(self)
-        grads = {id(self): seed}
+        grads = {id(self): np.ones_like(self.value)}
         for node in order:
             g = grads.pop(id(node), None)
             if g is None:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import copy
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -132,6 +132,10 @@ class Lookahead:
             p.value[...] = slow
 
 
+# The derived rates every report lists, in report order.
+RATES = ("accuracy", "precision", "recall", "f1")
+
+
 @dataclass
 class Metrics:
     tp: int
@@ -163,16 +167,8 @@ class Metrics:
         return 2.0 * p * r / (p + r) if p + r else 0.0
 
     def as_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "tp": self.tp,
-            "fp": self.fp,
-            "tn": self.tn,
-            "fn": self.fn,
-        }
+        """The rates, then the confusion counts."""
+        return {**{k: getattr(self, k) for k in RATES}, **asdict(self)}
 
 
 def compute_metrics(predictions, labels) -> Metrics:
@@ -207,7 +203,6 @@ class SplitPlan:
     train: list[int]
     validation: list[int]
     test: list[int]
-    protocol: str
     excluded: int = 0
     train_fraction: float | None = None
     test_fraction: float | None = None
@@ -227,7 +222,7 @@ def split_shuffled(manifest, seed: int, repetition: int = 0) -> SplitPlan:
     test = sorted(int(i) for i in perm[:tenth])
     val = sorted(int(i) for i in perm[tenth:2 * tenth])
     train = sorted(int(i) for i in perm[2 * tenth:])
-    return SplitPlan(train=train, validation=val, test=test, protocol="shuffled")
+    return SplitPlan(train=train, validation=val, test=test)
 
 
 def split_temporal(manifest) -> SplitPlan:
@@ -260,7 +255,6 @@ def split_temporal(manifest) -> SplitPlan:
         train=sorted(train),
         validation=sorted(val),
         test=sorted(pool_2020),
-        protocol="temporal",
         excluded=excluded,
         train_fraction=len(pool_2019) / included,
         test_fraction=len(pool_2020) / included,
@@ -384,21 +378,13 @@ def format_per_app(per_app) -> str:
     return "\n".join(lines) + "\n"
 
 
-def format_metrics_block(metrics: Metrics, prefix: str = "") -> str:
-    lines = [
-        f"{prefix}accuracy={metrics.accuracy:.2f}",
-        f"{prefix}precision={metrics.precision:.2f}",
-        f"{prefix}recall={metrics.recall:.2f}",
-        f"{prefix}f1={metrics.f1:.2f}",
-        f"{prefix}tp={metrics.tp}",
-        f"{prefix}fp={metrics.fp}",
-        f"{prefix}tn={metrics.tn}",
-        f"{prefix}fn={metrics.fn}",
-    ]
-    return "\n".join(lines) + "\n"
+def format_metrics_block(metrics: Metrics) -> str:
+    """One ``key=value`` line per rate (two decimals), then per confusion count."""
+    return "".join(
+        f"{k}={v:.2f}\n" if k in RATES else f"{k}={v}\n" for k, v in metrics.as_dict().items()
+    )
 
 
 def mean_metric_values(metric_list) -> dict:
-    """Mean of each derived metric across repetitions."""
-    keys = ("accuracy", "precision", "recall", "f1")
-    return {k: float(np.mean([getattr(m, k) for m in metric_list])) for k in keys}
+    """Mean of each rate across repetitions."""
+    return {k: float(np.mean([getattr(m, k) for m in metric_list])) for k in RATES}

@@ -13,8 +13,9 @@ import pytest
 
 import detectbert
 from detectbert.cli import TRAIN_DEFAULTS, _field_defaults, build_parser, main, resolve_settings
-from detectbert.data import BAG_MAGIC, BAG_VERSION, SynthConfig
+from detectbert.data import BAG_MAGIC, BAG_VERSION, SynthConfig, load_manifest
 from detectbert.model import ModelConfig, init_params, load_checkpoint, save_checkpoint
+from detectbert.training import split_shuffled
 
 
 def run(argv):
@@ -212,8 +213,8 @@ class TestRejectedInputs:
             assert "threshold must be in (0, 1)" in single_error_line(capsys)
         assert not (tmp_path / "e" / "scores.csv").exists()
 
-    def test_bag_header_larger_than_file_is_one_error_line(self, dataset, tmp_path, capsys):
-        bag = next((dataset / "bags").iterdir())
+    def _train_with_hostile_bag(self, dataset, tmp_path, capsys, app_id):
+        bag = dataset / "bags" / f"{app_id}.dbmb"
         bag.write_bytes(BAG_MAGIC + struct.pack("<III", BAG_VERSION, 2**31, 2**31 - 1))
         capsys.readouterr()
         code = run(["train", "--manifest", dataset / "manifest.csv", "--out", tmp_path / "r"]
@@ -221,6 +222,16 @@ class TestRejectedInputs:
         assert code == 1
         line = single_error_line(capsys)
         assert f"{bag}: expected" in line and "payload bytes" in line
+
+    def test_bag_header_larger_than_file_is_one_error_line(self, dataset, tmp_path, capsys):
+        # a bag that the split of `train --seed 5` trains on, so train is sure to read it
+        manifest = load_manifest(dataset / "manifest.csv")
+        app_id = manifest.records[split_shuffled(manifest, 5).train[-1]].app_id
+        self._train_with_hostile_bag(dataset, tmp_path, capsys, app_id)
+
+    def test_hostile_header_of_the_width_bag_is_one_error_line(self, dataset, tmp_path, capsys):
+        # record 0's header gives the model its width
+        self._train_with_hostile_bag(dataset, tmp_path, capsys, "synth-000000")
 
     def test_bad_config_value_names_file_line_and_key(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -266,6 +277,18 @@ class TestSplitFileChecks:
         assert code == 1
         line = single_error_line(capsys)
         assert f"{split}:4:" in line and message in line
+        assert not (tmp_path / "e" / "scores.csv").exists()
+
+    def test_split_file_without_header_names_line_one(self, dataset, tmp_path, capsys):
+        run_dir, split = split_with_line(dataset, tmp_path, lambda line: line)
+        split.write_text("0,synth-000000,test\n1,synth-000001,test\n")
+        capsys.readouterr()
+        code = run(["evaluate", "--manifest", dataset / "manifest.csv",
+                    "--checkpoint", run_dir / "checkpoint.dbck", "--out", tmp_path / "e",
+                    "--split-file", split])
+        assert code == 1
+        line = single_error_line(capsys)
+        assert f"{split}:1: header must be 'index,app_id,role'" in line
         assert not (tmp_path / "e" / "scores.csv").exists()
 
 

@@ -17,6 +17,7 @@ from detectbert.data import (
     DatasetManifest,
     ManifestError,
     SynthConfig,
+    bag_width,
     dataset_stats,
     gen_synthetic,
     load_bags,
@@ -103,6 +104,36 @@ class TestBagFiles:
         path.write_bytes(path.read_bytes() + b"\x00")
         with pytest.raises(BagFormatError, match="trailing"):
             read_bag(path)
+
+
+class TestBagWidth:
+    def test_width_from_the_header(self, tmp_path):
+        path = tmp_path / "b.dbmb"
+        write_bag(make_bag(np.random.default_rng(5), n=3, d=7), path)
+        assert bag_width(path) == 7
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda raw: raw[:-5],
+            lambda raw: raw + b"\x00",
+            lambda raw: b"NOPE" + raw[4:],
+            lambda raw: raw[:4] + struct.pack("<III", 7, 3, 4) + raw[16:],
+            lambda raw: raw[:4] + struct.pack("<III", BAG_VERSION, 0, 4),
+            lambda raw: raw[:4] + struct.pack("<III", BAG_VERSION, 2**31, 2**31 - 1),
+        ],
+        ids=["short", "trailing", "magic", "version", "empty", "huge"],
+    )
+    def test_rejects_what_read_bag_rejects(self, tmp_path, allocates_under, corrupt):
+        path = tmp_path / "b.dbmb"
+        write_bag(make_bag(np.random.default_rng(6), n=3, d=4), path)
+        path.write_bytes(corrupt(path.read_bytes()))
+        with pytest.raises(BagFormatError) as from_read:
+            read_bag(path)
+        with allocates_under(1 << 20), pytest.raises(BagFormatError) as from_width:
+            bag_width(path)
+        assert type(from_width.value) is type(from_read.value)
+        assert str(from_width.value) == str(from_read.value)
 
 
 class TestManifest:

@@ -6,6 +6,7 @@ import struct
 import numpy as np
 import pytest
 
+from detectbert.baselines import init_baseline
 from detectbert.model import (
     Bag,
     CheckpointError,
@@ -231,6 +232,14 @@ class TestCheckpoints:
         extra = struct.pack("<I", 6) + b"rogue!" + struct.pack("<II", 1, 1) + bytes(8)
         path.write_bytes(path.read_bytes() + extra)
         with pytest.raises(CheckpointUnknownTensorError):
+            load_checkpoint(path)
+
+    def test_repeated_tensor_record_rejected(self, tmp_path):
+        path = tmp_path / "baseline.dbck"
+        save_checkpoint(init_baseline("elementwise_average", 4, 0), path)
+        again = struct.pack("<I", 9) + b"head_bias" + struct.pack("<IId", 1, 1, 123.0)
+        path.write_bytes(path.read_bytes() + again)
+        with pytest.raises(CheckpointError, match="'head_bias' appears twice"):
             load_checkpoint(path)
 
     def test_missing_tensor(self, tmp_path):
