@@ -17,11 +17,14 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-from .data import SynthConfig, bag_width, dataset_stats, gen_synthetic, load_bags, load_manifest
+from .data import (
+    SynthConfig, bag_width, dataset_stats, gen_synthetic, load_bags, load_manifest, read_rows
+)
 from .baselines import init_baseline
 from .model import KIND, ModelConfig, init_params, load_checkpoint, save_checkpoint
 from .training import (
     RATES,
+    SplitPlan,
     TrainConfig,
     evaluate,
     format_metrics_block,
@@ -35,19 +38,23 @@ from .verify import run_attention_suite, run_entropy_suite, run_gradcheck_suite
 
 
 def _baseline(kind):
-    return lambda model_config, seed: init_baseline(kind, model_config.d, seed)
+    return lambda settings, d: init_baseline(kind, d, settings["seed"])
 
 
-# --model flag -> fresh parameters from (ModelConfig, seed), in compare-baselines order
+def _head(settings, d):
+    return init_params(_from_settings(ModelConfig, settings, d=d), settings["seed"])
+
+
+# --model flag -> fresh parameters from (settings, embedding width), in compare-baselines order
 MODELS = {
     "baseline-random": _baseline("random_selection"),
     "baseline-addition": _baseline("elementwise_addition"),
     "baseline-average": _baseline("elementwise_average"),
-    KIND: init_params,
+    KIND: _head,
 }
 # The roles of a split, in split-file order, and the split file's header.
 ROLES = ("train", "validation", "test")
-SPLIT_HEADER = "index,app_id,role"
+SPLIT_HEADER = ("index", "app_id", "role")
 
 # Setting names (flags, config-file keys) that differ from their dataclass field.
 SETTING_NAMES = {"num_bags": "bags", "d": "dim", "num_blocks": "blocks"}
@@ -139,17 +146,13 @@ def _train_model(settings: dict, manifest, plan):
     reached, before training returns.
     """
     tc = _from_settings(TrainConfig, settings)
-    mc = _from_settings(ModelConfig, settings, d=bag_width(manifest.records[0].path))
-    params = MODELS[settings["model"]](mc, tc.seed)
+    params = MODELS[settings["model"]](settings, bag_width(manifest[0].path))
     return train(
         tc, load_bags(manifest, plan.train), load_bags(manifest, plan.validation), params
     )
 
 
 def _write_history(history, path: Path):
-    if not history:
-        path.write_text("")
-        return
     keys = list(history[0].keys())
     lines = [",".join(keys)]
     for rec in history:
@@ -164,42 +167,37 @@ def _fmt_cell(v):
 
 
 def _write_split(plan, manifest, path: Path):
-    lines = [SPLIT_HEADER]
+    lines = [",".join(SPLIT_HEADER)]
     for role in ROLES:
         for idx in getattr(plan, role):
-            lines.append(f"{idx},{manifest.records[idx].app_id},{role}")
+            lines.append(f"{idx},{manifest[idx].app_id},{role}")
     path.write_text("\n".join(lines) + "\n")
 
 
-def _read_split(path: Path, manifest) -> dict:
-    """Manifest indices by role, each line checked against the manifest record it names."""
+def _read_split(path, manifest) -> SplitPlan:
+    """The split a split file lists; each line names a manifest record not listed before."""
     roles = {role: [] for role in ROLES}
-    records = manifest.records
-    lines = Path(path).read_text().splitlines()
-    header = lines[0] if lines else ""
-    if header != SPLIT_HEADER:
-        raise ValueError(f"{path}:1: header must be {SPLIT_HEADER!r}, got {header!r}")
-    for lineno, line in enumerate(lines[1:], start=2):
+    listed_on = {}
+    for lineno, (idx, app_id, role) in read_rows(path, SPLIT_HEADER, ValueError):
         where = f"{path}:{lineno}"
-        cells = line.split(",")
-        if len(cells) != 3:
-            raise ValueError(f"{where}: expected 3 fields index,app_id,role, got {line!r}")
-        idx, app_id, role = cells
         if role not in roles:
             raise ValueError(f"{where}: unknown role {role!r}; expected one of {sorted(roles)}")
         try:
             i = int(idx)
         except ValueError:
             raise ValueError(f"{where}: index {idx!r} is not an integer") from None
-        if not 0 <= i < len(records):
-            raise ValueError(f"{where}: index {i} is outside the manifest's [0, {len(records)})")
-        if records[i].app_id != app_id:
+        if not 0 <= i < len(manifest):
+            raise ValueError(f"{where}: index {i} is outside the manifest's [0, {len(manifest)})")
+        if manifest[i].app_id != app_id:
             raise ValueError(
-                f"{where}: app_id {app_id!r} differs from the manifest's {records[i].app_id!r} "
+                f"{where}: app_id {app_id!r} differs from the manifest's {manifest[i].app_id!r} "
                 f"at index {i}"
             )
+        if i in listed_on:
+            raise ValueError(f"{where}: index {i} is already listed on line {listed_on[i]}")
+        listed_on[i] = lineno
         roles[role].append(i)
-    return roles
+    return SplitPlan(**roles)
 
 
 # ---------------------------------------------------------------------------
@@ -237,9 +235,9 @@ def cmd_evaluate(args) -> int:
     manifest = load_manifest(args.manifest)
     params = load_checkpoint(args.checkpoint)
     if args.split_file:
-        indices = _read_split(Path(args.split_file), manifest)[args.subset]
+        indices = getattr(_read_split(args.split_file, manifest), args.subset)
     else:
-        indices = range(len(manifest.records))
+        indices = range(len(manifest))
     bags = load_bags(manifest, indices)
     threshold = args.threshold if args.threshold is not None else TrainConfig.threshold
     metrics, per_app = evaluate(params, bags, threshold)
@@ -270,9 +268,8 @@ def cmd_protocol_shuffled(args) -> int:
     all_metrics = []
     report = []
     for rep in range(settings["repetitions"]):
-        rep_settings = {**settings, "repetition": rep}
         plan = split_shuffled(manifest, settings["seed"], rep)
-        metrics, per_app = _run_one_protocol_rep(manifest, plan, rep_settings)
+        metrics, per_app = _run_one_protocol_rep(manifest, plan, settings)
         (out / f"rep{rep}_scores.csv").write_text(format_per_app(per_app))
         report.append(f"[repetition {rep}]\n" + format_metrics_block(metrics))
         all_metrics.append(metrics)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import io
 import math
 import os
 import struct
@@ -106,7 +107,7 @@ def read_bag(path, app_id: str = "", label: int = 0, date: dt.date | None = None
     return Bag(app_id=app_id, label=label, date=date, embeddings=values)
 
 
-@dataclass
+@dataclass(slots=True)
 class ManifestRecord:
     app_id: str
     label: int
@@ -114,76 +115,76 @@ class ManifestRecord:
     path: Path
 
 
-@dataclass
-class DatasetManifest:
-    records: list[ManifestRecord]
-
-    def __len__(self) -> int:
-        return len(self.records)
+MANIFEST_HEADER = ("app_id", "label", "date", "path")
 
 
-MANIFEST_HEADER = ["app_id", "label", "date", "path"]
+def read_rows(path, header, error):
+    """Yield (line number, stripped fields) for each non-blank row after a UTF-8 CSV's ``header``.
+
+    Each row must have one field per header name.  Any failure, the csv
+    module's own included, raises ``error`` naming ``path:line``.
+    """
+    raw = Path(path).read_bytes()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise error(f"{path}:{line}: not UTF-8 text ({exc.reason})") from None
+    rows = csv.reader(io.StringIO(text, newline=""))
+    try:
+        first = [c.strip() for c in next(rows, [])]
+        if first != list(header):
+            raise error(f"{path}:1: header must be {','.join(header)!r}, got {','.join(first)!r}")
+        for row in rows:
+            if not row:
+                continue
+            where = f"{path}:{rows.line_num}"
+            if len(row) != len(header):
+                raise error(f"{where}: expected {len(header)} fields, got {len(row)}")
+            yield rows.line_num, [c.strip() for c in row]
+    except csv.Error as exc:
+        raise error(f"{path}:{rows.line_num}: {exc}") from None
 
 
-def save_manifest(manifest: DatasetManifest, path, relative_to=None):
+def save_manifest(manifest: list[ManifestRecord], path, relative_to=None):
     """Write the manifest CSV; paths may be made relative for portability."""
-    with open(path, "w", newline="") as f:
+    with open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         writer.writerow(MANIFEST_HEADER)
-        for rec in manifest.records:
+        for rec in manifest:
             p = rec.path
             if relative_to is not None:
                 p = Path(p).relative_to(relative_to)
             writer.writerow([rec.app_id, rec.label, rec.date.isoformat(), p.as_posix()])
 
 
-def load_manifest(path) -> DatasetManifest:
-    """Parse and validate a manifest CSV.
+def load_manifest(path) -> list[ManifestRecord]:
+    """Parse and validate a manifest CSV into its records, in file order.
 
     Relative bag paths are resolved against the manifest's directory.
     Errors carry the 1-based line number of the offending record.
     """
     path = Path(path)
-    base = path.parent
     records = []
     seen_ids = {}
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ManifestError(f"{path}: empty manifest file") from None
-        if [h.strip() for h in header] != MANIFEST_HEADER:
+    for lineno, (app_id, label_s, date_s, rel) in read_rows(path, MANIFEST_HEADER, ManifestError):
+        if not app_id:
+            raise ManifestError(f"{path}:{lineno}: empty app_id")
+        if app_id in seen_ids:
             raise ManifestError(
-                f"{path}:1: header must be {','.join(MANIFEST_HEADER)!r}, got {header}"
+                f"{path}:{lineno}: duplicate app_id {app_id!r} "
+                f"(first seen on line {seen_ids[app_id]})"
             )
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise ManifestError(f"{path}:{lineno}: expected 4 fields, got {len(row)}")
-            app_id, label_s, date_s, rel = (c.strip() for c in row)
-            if not app_id:
-                raise ManifestError(f"{path}:{lineno}: empty app_id")
-            if app_id in seen_ids:
-                raise ManifestError(
-                    f"{path}:{lineno}: duplicate app_id {app_id!r} "
-                    f"(first seen on line {seen_ids[app_id]})"
-                )
-            seen_ids[app_id] = lineno
-            if label_s not in ("0", "1"):
-                raise ManifestError(f"{path}:{lineno}: label must be 0 or 1, got {label_s!r}")
-            try:
-                date = dt.date.fromisoformat(date_s)
-            except ValueError:
-                raise ManifestError(f"{path}:{lineno}: bad ISO date {date_s!r}") from None
-            bag_path = Path(rel)
-            if not bag_path.is_absolute():
-                bag_path = base / bag_path
-            records.append(
-                ManifestRecord(app_id=app_id, label=int(label_s), date=date, path=bag_path)
-            )
-    return DatasetManifest(records=records)
+        seen_ids[app_id] = lineno
+        if label_s not in ("0", "1"):
+            raise ManifestError(f"{path}:{lineno}: label must be 0 or 1, got {label_s!r}")
+        try:
+            date = dt.date.fromisoformat(date_s)
+        except ValueError:
+            raise ManifestError(f"{path}:{lineno}: bad ISO date {date_s!r}") from None
+        # an absolute bag path replaces the directory
+        records.append(ManifestRecord(app_id, int(label_s), date, path.parent / rel))
+    return records
 
 
 class BagFiles(Sequence):
@@ -205,9 +206,9 @@ class BagFiles(Sequence):
         return read_bag(rec.path, app_id=rec.app_id, label=rec.label, date=rec.date)
 
 
-def load_bags(manifest: DatasetManifest, indices) -> BagFiles:
+def load_bags(manifest: list[ManifestRecord], indices) -> BagFiles:
     """The manifest's bags at ``indices``, in that order, read from disk on access."""
-    return BagFiles(manifest.records[i] for i in indices)
+    return BagFiles(manifest[i] for i in indices)
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +291,7 @@ def synth_bag(config: SynthConfig, index: int):
     return bag, witness_count
 
 
-def gen_synthetic(config: SynthConfig, out_dir) -> DatasetManifest:
+def gen_synthetic(config: SynthConfig, out_dir) -> list[ManifestRecord]:
     """Write bag files plus ``manifest.csv`` under ``out_dir``.
 
     Output is byte-identical across runs and platforms for a fixed config
@@ -308,22 +309,21 @@ def gen_synthetic(config: SynthConfig, out_dir) -> DatasetManifest:
         records.append(
             ManifestRecord(app_id=bag.app_id, label=bag.label, date=bag.date, path=bag_path)
         )
-    manifest = DatasetManifest(records=records)
-    save_manifest(manifest, out_dir / "manifest.csv", relative_to=out_dir)
-    return manifest
+    save_manifest(records, out_dir / "manifest.csv", relative_to=out_dir)
+    return records
 
 
-def dataset_stats(manifest: DatasetManifest) -> dict:
+def dataset_stats(manifest: list[ManifestRecord]) -> dict:
     """Label and year counts."""
-    if not manifest.records:
+    if not manifest:
         raise ValueError("manifest has no records")
     by_label = {0: 0, 1: 0}
     by_year: dict[int, int] = {}
-    for rec in manifest.records:
+    for rec in manifest:
         by_label[rec.label] += 1
         by_year[rec.date.year] = by_year.get(rec.date.year, 0) + 1
     return {
-        "num_apps": len(manifest.records),
+        "num_apps": len(manifest),
         "benign": by_label[0],
         "malware": by_label[1],
         "by_year": dict(sorted(by_year.items())),

@@ -214,7 +214,7 @@ def split_shuffled(manifest, seed: int, repetition: int = 0) -> SplitPlan:
     Validation and test each get floor(n/10) records; the remainder goes
     to training.
     """
-    n = len(manifest.records)
+    n = len(manifest)
     if n == 0:
         raise ValueError("cannot split an empty manifest")
     perm = derive_rng(seed, "split-shuffled", repetition).permutation(n)
@@ -234,7 +234,7 @@ def split_temporal(manifest) -> SplitPlan:
     """
     by_year = {2019: [], 2020: []}
     excluded = 0
-    for i, rec in enumerate(manifest.records):
+    for i, rec in enumerate(manifest):
         if rec.date is None:
             excluded += 1
             continue
@@ -247,7 +247,7 @@ def split_temporal(manifest) -> SplitPlan:
         raise ValueError("temporal split needs at least one app dated 2019")
     if not pool_2020:
         raise ValueError("temporal split needs at least one app dated 2020")
-    ordered = sorted(pool_2019, key=lambda i: manifest.records[i].app_id)
+    ordered = sorted(pool_2019, key=lambda i: manifest[i].app_id)
     val = [idx for pos, idx in enumerate(ordered) if pos % 10 == 9]
     train = [idx for pos, idx in enumerate(ordered) if pos % 10 != 9]
     included = len(pool_2019) + len(pool_2020)

@@ -243,7 +243,7 @@ class TestAcceptance:
             data_dir,
         )
         manifest = load_manifest(data_dir / "manifest.csv")
-        for pos, rec in enumerate(manifest.records):
+        for pos, rec in enumerate(manifest):
             year = 2019 if pos < 180 else 2020
             rec.date = dt.date(year, rec.date.month, rec.date.day)
         save_manifest(manifest, data_dir / "manifest.csv", relative_to=data_dir)
@@ -255,7 +255,7 @@ class TestAcceptance:
             "--landmarks", "8", "--seed", "3",
         ])
         reloaded = load_manifest(data_dir / "manifest.csv")
-        dates = {rec.app_id: rec.date for rec in reloaded.records}
+        dates = {rec.app_id: rec.date for rec in reloaded}
         roles_ok = True
         for line in (out / "split.csv").read_text().splitlines()[1:]:
             _, app_id, role = line.split(",")

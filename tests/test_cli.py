@@ -13,6 +13,7 @@ import pytest
 
 import detectbert
 from detectbert.cli import TRAIN_DEFAULTS, _field_defaults, build_parser, main, resolve_settings
+from detectbert.baselines import init_baseline
 from detectbert.data import BAG_MAGIC, BAG_VERSION, SynthConfig, load_manifest
 from detectbert.model import ModelConfig, init_params, load_checkpoint, save_checkpoint
 from detectbert.training import split_shuffled
@@ -143,6 +144,15 @@ class TestTrainEvaluate:
         params = load_checkpoint(out / "checkpoint.dbck")
         assert params.kind == "elementwise_average"
 
+    def test_baseline_ignores_the_heads_setting(self, tmp_path):
+        # d=4 is not divisible by the default heads=8, which only the head uses
+        data, out = tmp_path / "data", tmp_path / "run"
+        assert run(["gen-synth", "--out", data, "--bags", "20", "--dim", "4",
+                    "--bag-size-min", "2", "--bag-size-max", "6", "--seed", "2"]) == 0
+        assert run(["train", "--manifest", data / "manifest.csv", "--out", out,
+                    "--model", "baseline-average", "--epochs", "1", "--seed", "5"]) == 0
+        assert load_checkpoint(out / "checkpoint.dbck").kind == "elementwise_average"
+
     def test_same_flags_same_seed_identical_outputs(self, dataset, tmp_path):
         outs = []
         for name in ("r1", "r2"):
@@ -226,12 +236,24 @@ class TestRejectedInputs:
     def test_bag_header_larger_than_file_is_one_error_line(self, dataset, tmp_path, capsys):
         # a bag that the split of `train --seed 5` trains on, so train is sure to read it
         manifest = load_manifest(dataset / "manifest.csv")
-        app_id = manifest.records[split_shuffled(manifest, 5).train[-1]].app_id
+        app_id = manifest[split_shuffled(manifest, 5).train[-1]].app_id
         self._train_with_hostile_bag(dataset, tmp_path, capsys, app_id)
 
     def test_hostile_header_of_the_width_bag_is_one_error_line(self, dataset, tmp_path, capsys):
         # record 0's header gives the model its width
         self._train_with_hostile_bag(dataset, tmp_path, capsys, "synth-000000")
+
+    def test_manifest_field_over_the_csv_limit_is_one_error_line(self, dataset, tmp_path, capsys):
+        manifest = dataset / "manifest.csv"
+        with open(manifest, "a") as f:
+            f.write("x" * 200_000 + ",0,2019-01-01,bags/x.dbmb\n")
+        ckpt = tmp_path / "baseline.dbck"
+        save_checkpoint(init_baseline("elementwise_average", 8, 0), ckpt)
+        code = run(["evaluate", "--manifest", manifest, "--checkpoint", ckpt,
+                    "--out", tmp_path / "e"])
+        assert code == 1
+        assert f"{manifest}:42: field larger than field limit" in single_error_line(capsys)
+        assert not (tmp_path / "e" / "scores.csv").exists()
 
     def test_bad_config_value_names_file_line_and_key(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -290,6 +312,35 @@ class TestSplitFileChecks:
         line = single_error_line(capsys)
         assert f"{split}:1: header must be 'index,app_id,role'" in line
         assert not (tmp_path / "e" / "scores.csv").exists()
+
+    @pytest.mark.parametrize(
+        "role_of", [lambda role: role, lambda role: "test"], ids=["same-role", "other-role"]
+    )
+    def test_index_listed_twice_names_both_lines(self, dataset, tmp_path, capsys, role_of):
+        run_dir, split = split_with_line(dataset, tmp_path, lambda line: line)
+        idx, app_id, role = split.read_text().splitlines()[3].split(",")
+        with open(split, "a") as f:
+            f.write(f"{idx},{app_id},{role_of(role)}\n")
+        capsys.readouterr()
+        code = run(["evaluate", "--manifest", dataset / "manifest.csv",
+                    "--checkpoint", run_dir / "checkpoint.dbck", "--out", tmp_path / "e",
+                    "--split-file", split])
+        assert code == 1
+        line = single_error_line(capsys)
+        assert f"{split}:42: index {idx} is already listed on line 4" in line
+        assert not (tmp_path / "e" / "scores.csv").exists()
+
+    def test_blank_lines_and_padded_cells_are_read_as_in_a_manifest(self, dataset, tmp_path):
+        run_dir, split = split_with_line(dataset, tmp_path, lambda line: line)
+        argv = ["evaluate", "--manifest", dataset / "manifest.csv",
+                "--checkpoint", run_dir / "checkpoint.dbck", "--split-file", split]
+        assert run(argv + ["--out", tmp_path / "plain"]) == 0
+        lines = split.read_text().splitlines()
+        split.write_text("\n\n".join(" , ".join(line.split(",")) for line in lines) + "\n")
+        assert run(argv + ["--out", tmp_path / "padded"]) == 0
+        for name in ("scores.csv", "metrics.txt"):
+            padded, plain = (tmp_path / out / name for out in ("padded", "plain"))
+            assert padded.read_bytes() == plain.read_bytes(), name
 
 
 class TestCheckpointErrors:

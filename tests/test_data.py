@@ -14,7 +14,6 @@ from detectbert.data import (
     BagMagicError,
     BagTruncatedError,
     BagVersionError,
-    DatasetManifest,
     ManifestError,
     SynthConfig,
     bag_width,
@@ -149,10 +148,10 @@ class TestManifest:
         )
         manifest = load_manifest(path)
         assert len(manifest) == 2
-        assert manifest.records[0].label == 0
-        assert manifest.records[1].date == dt.date(2020, 6, 2)
+        assert manifest[0].label == 0
+        assert manifest[1].date == dt.date(2020, 6, 2)
         # relative paths resolve against the manifest directory
-        assert manifest.records[0].path == tmp_path / "bags/a.dbmb"
+        assert manifest[0].path == tmp_path / "bags/a.dbmb"
 
     def test_duplicate_app_id_names_the_id(self, tmp_path):
         path = self.write(
@@ -172,6 +171,13 @@ class TestManifest:
         path = self.write(tmp_path, ["app-1,0,01/05/2019,a.dbmb"])
         with pytest.raises(ManifestError, match=":2:"):
             load_manifest(path)
+
+    def test_non_utf8_byte_names_file_and_line(self, tmp_path):
+        path = self.write(tmp_path, ["app-1,0,2019-01-01,a.dbmb", "app-2,0,2019-01-01,b.dbmb"])
+        path.write_bytes(path.read_bytes().replace(b"app-2", b"app-\xff"))
+        with pytest.raises(ManifestError) as exc:
+            load_manifest(path)
+        assert str(exc.value).startswith(f"{path}:3: not UTF-8 text")
 
     def test_missing_header(self, tmp_path):
         path = tmp_path / "manifest.csv"
@@ -225,7 +231,7 @@ class TestSyntheticGenerator:
         reloaded = load_manifest(tmp_path / "manifest.csv")
         assert len(reloaded) == 8
         bags = load_bags(reloaded, range(8))
-        for bag, rec in zip(bags, reloaded.records):
+        for bag, rec in zip(bags, reloaded):
             assert bag.app_id == rec.app_id
             assert bag.dim == 5
         # bag files carry exactly what synth_bag produced
@@ -248,7 +254,7 @@ class TestDatasetStats:
 
     def test_empty_manifest_rejected(self):
         with pytest.raises(ValueError):
-            dataset_stats(DatasetManifest(records=[]))
+            dataset_stats([])
 
     def test_full_scale_label_counts(self):
         """Label counting at the real corpus scale (96994 benign, 61809 malware)."""
@@ -259,6 +265,6 @@ class TestDatasetStats:
                            dt.date(2019, 1, 1), "missing.dbmb")
             for i in range(158803)
         ]
-        stats = dataset_stats(DatasetManifest(records=records))
+        stats = dataset_stats(records)
         assert stats["benign"] == 96994
         assert stats["malware"] == 61809

@@ -1,0 +1,81 @@
+"""Hostile bytes in a manifest or a split file raise the reader's documented error.
+
+Each example takes a valid file and cuts it, overwrites some of its bytes
+or inserts new ones.  The reader must then either accept the result or
+raise its own error type: ``ManifestError`` for a manifest, ``ValueError``
+for a split file (``cli.main`` turns either into one ``error:`` line).
+Nothing else may escape, ``csv.Error`` and ``UnicodeDecodeError`` included.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from detectbert.cli import _read_split, _write_split
+from detectbert.data import ManifestError, SynthConfig, gen_synthetic, load_manifest
+from detectbert.training import split_shuffled
+
+# Bytes that mean something to a CSV reader or a UTF-8 decoder.
+SPECIAL = [b",", b"\n", b"\r", b'"', b" ", b"\x00", b"\xff", b"\xc3", b"-", b"9", b"1"]
+
+EDIT = st.tuples(
+    st.sampled_from(["cut", "overwrite", "insert"]),
+    st.integers(min_value=0),
+    st.one_of(
+        st.binary(min_size=1, max_size=8),
+        st.lists(st.sampled_from(SPECIAL), min_size=1, max_size=4).map(b"".join),
+    ),
+)
+
+
+def mutate(raw: bytes, edits) -> bytes:
+    for kind, at, data in edits:
+        at %= len(raw) + 1
+        if kind == "cut":
+            raw = raw[:at]
+        elif kind == "overwrite":
+            raw = raw[:at] + data + raw[at + len(data):]
+        else:
+            raw = raw[:at] + data + raw[at:]
+    return raw
+
+
+@pytest.fixture(scope="module")
+def corpus(tmp_path_factory):
+    """A valid manifest, its records and a valid split file of them."""
+    root = tmp_path_factory.mktemp("corpus")
+    config = SynthConfig(num_bags=12, d=2, bag_size_min=1, bag_size_max=2, seed=4)
+    manifest = gen_synthetic(config, root)
+    _write_split(split_shuffled(manifest, seed=1), manifest, root / "split.csv")
+    return root, manifest
+
+
+@settings(max_examples=300, deadline=None)
+@given(edits=st.lists(EDIT, min_size=1, max_size=3))
+def test_manifest_reader_raises_only_manifest_error(corpus, edits):
+    root, _ = corpus
+    path = root / "mutated.csv"
+    path.write_bytes(mutate((root / "manifest.csv").read_bytes(), edits))
+    try:
+        records = load_manifest(path)
+    except ManifestError as exc:
+        assert str(exc).startswith(f"{path}:")
+        return
+    assert len({rec.app_id for rec in records}) == len(records)
+    assert {rec.label for rec in records} <= {0, 1}
+
+
+@settings(max_examples=300, deadline=None)
+@given(edits=st.lists(EDIT, min_size=1, max_size=3))
+def test_split_reader_raises_only_value_error(corpus, edits):
+    root, manifest = corpus
+    path = root / "mutated-split.csv"
+    path.write_bytes(mutate((root / "split.csv").read_bytes(), edits))
+    try:
+        plan = _read_split(path, manifest)
+    except ValueError as exc:
+        assert type(exc) is ValueError and str(exc).startswith(f"{path}:")
+        return
+    listed = plan.train + plan.validation + plan.test
+    assert len(set(listed)) == len(listed)
+    assert all(0 <= i < len(manifest) for i in listed)

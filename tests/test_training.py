@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from detectbert.baselines import aggregate, init_baseline
-from detectbert.data import DatasetManifest, ManifestRecord
+from detectbert.data import ManifestRecord
 from detectbert.model import Bag, ModelConfig, init_params, logistic
 from detectbert.numerics import Tensor
 from detectbert.seeding import derive_seed
@@ -34,9 +34,7 @@ def record(app_id, label=0, year=2019, path="x.dbmb"):
 
 def manifest_of(n, years=None):
     years = years or [2019] * n
-    return DatasetManifest(
-        records=[record(f"app-{i:04d}", year=years[i]) for i in range(n)]
-    )
+    return [record(f"app-{i:04d}", year=years[i]) for i in range(n)]
 
 
 def make_bags(rng, count, d=6, n_range=(2, 8)):
@@ -224,7 +222,7 @@ class TestSplitShuffled:
 
     def test_empty_manifest(self):
         with pytest.raises(ValueError):
-            split_shuffled(DatasetManifest(records=[]), seed=0)
+            split_shuffled([], seed=0)
 
 
 class TestSplitTemporal:
