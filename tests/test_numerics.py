@@ -1,5 +1,8 @@
 """Unit and gradient tests for the dense-matrix primitives."""
 
+import contextlib
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -339,6 +342,29 @@ class TestTensorBasics:
         with nm.no_grad():
             out = nm.matmul(a, a)
         assert out._vjp is None and not out.requires_grad
+
+    @pytest.mark.parametrize("this_thread_enters", [False, True])
+    def test_no_grad_holds_per_thread(self, this_thread_enters):
+        """While one thread is inside no_grad, another thread records: both when
+        it never entered no_grad and when it entered first and has left it."""
+        a = Tensor(np.ones((2, 2)), requires_grad=True)
+        entered, left = threading.Event(), threading.Event()
+        recorded = {}
+
+        def inside():
+            with nm.no_grad():
+                entered.set()
+                left.wait(10)
+                recorded["inside"] = nm.matmul(a, a).requires_grad
+
+        thread = threading.Thread(target=inside)
+        with nm.no_grad() if this_thread_enters else contextlib.nullcontext():
+            thread.start()
+            entered.wait(10)
+        recorded["outside"] = nm.matmul(a, a).requires_grad
+        left.set()
+        thread.join(10)
+        assert recorded == {"outside": True, "inside": False}
 
     def test_grad_accumulates_across_uses(self):
         a = Tensor(np.ones((1, 1)), requires_grad=True)

@@ -2,13 +2,16 @@
 
 import datetime as dt
 import math
+import multiprocessing
+import os
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
 
 from detectbert.baselines import aggregate, init_baseline
-from detectbert.data import ManifestRecord
-from detectbert.model import Bag, ModelConfig, init_params, logistic
+from detectbert.data import BagFormatError, ManifestRecord, SynthConfig, synth_bag
+from detectbert.model import Bag, ModelConfig, init_params, logistic, predict
 from detectbert.numerics import Tensor
 from detectbert.seeding import derive_seed
 from detectbert.training import (
@@ -360,3 +363,71 @@ class TestEvaluate:
         params = init_baseline("elementwise_average", 4, seed=0)
         with pytest.raises(ValueError):
             evaluate(params, [])
+
+
+class BadBags(list):
+    """Bags whose indices in ``bad`` fail to read, naming the index."""
+
+    def __init__(self, bags, bad):
+        super().__init__(bags)
+        self.bad = bad
+
+    def __getitem__(self, i):
+        if i in self.bad:
+            raise BagFormatError(f"bag {i} is corrupt")
+        return super().__getitem__(i)
+
+
+class ExitsOn:
+    """Scores as ``inner`` does, but the process that scores ``app_id`` exits at once."""
+
+    def __init__(self, inner, app_id):
+        self.inner, self.app_id = inner, app_id
+
+    def logit(self, bag, epoch_seed=None):
+        if bag.app_id == self.app_id:
+            os._exit(3)
+        return self.inner.logit(bag)
+
+
+class TestEvaluateWorkers:
+    """evaluate scores in forked workers; its records and errors are a serial loop's."""
+
+    @pytest.mark.parametrize("model", ["attention", "elementwise_average"])
+    def test_records_equal_a_predict_loop_bitwise(self, usable_cpus, model):
+        # the score-corpus benchmark's shape: d=64, 5-120 instances, half in the exact regime
+        config = SynthConfig(num_bags=24, d=64, bag_size_min=5, bag_size_max=120,
+                             witness_rate=0.05, positive_fraction=0.4, seed=1)
+        bags = [synth_bag(config, i)[0] for i in range(24)]
+        if model == "attention":
+            params = init_params(ModelConfig(d=64, heads=8, landmarks=64, pinv_iters=24), seed=1)
+        else:
+            params = init_baseline(model, 64, seed=1)
+        loop = []
+        for bag in bags:
+            out = predict(bag, params)
+            loop.append({"app_id": bag.app_id, "score": out["score"], "label": bag.label,
+                         "prediction": out["label"]})
+        loop.sort(key=lambda r: r["app_id"])
+        for cpus in (2, 3):
+            usable_cpus(cpus)
+            _, per_app = evaluate(params, bags)
+            assert per_app == loop  # scores are finite and nonzero, so == compares bits
+            assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_first_failing_bag_is_raised(self, usable_cpus, cpus):
+        usable_cpus(cpus)
+        bags = BadBags(make_bags(np.random.default_rng(8), 12, d=4), bad={3, 7})
+        with pytest.raises(BagFormatError, match="^bag 3 is corrupt$"):
+            evaluate(init_baseline("elementwise_average", 4, seed=0), bags)
+        assert multiprocessing.active_children() == []
+
+    def test_a_killed_worker_raises_a_runtime_error_and_leaves_no_child(self, usable_cpus):
+        usable_cpus(2)
+        bags = make_bags(np.random.default_rng(9), 12, d=4)
+        params = ExitsOn(init_baseline("elementwise_average", 4, seed=0), bags[5].app_id)
+        with pytest.raises(BrokenProcessPool) as caught:
+            evaluate(params, bags)
+        assert isinstance(caught.value, RuntimeError)  # the CLI's one `error:` line
+        assert multiprocessing.active_children() == []
