@@ -57,10 +57,6 @@ class BaselineParams:
     def named_parameters(self) -> list[tuple[str, Tensor]]:
         return [(name, getattr(self, name)) for name, _ in param_shapes(self.d)]
 
-    def zero_grads(self):
-        for _, p in self.named_parameters():
-            p.zero_grad()
-
     def logit(self, bag: Bag, epoch_seed: int | None = None) -> Tensor:
         """The bag's logit; without an epoch seed (evaluation) selection uses ``eval_seed``."""
         return baseline_forward(bag, self, self.eval_seed if epoch_seed is None else epoch_seed)

@@ -225,7 +225,8 @@ def cmd_train(args) -> int:
     _write_history(result.history, out / "history.csv")
     _write_split(plan, manifest, out / "split.csv")
     write_resolved_config(settings, out)
-    print(f"best epoch {result.best_epoch} (validation F1 {result.best_f1:.2f})")
+    basis = "no validation split" if result.best_f1 is None else f"validation F1 {result.best_f1:.2f}"
+    print(f"best epoch {result.best_epoch} ({basis})")
     print(f"checkpoint written to {out / 'checkpoint.dbck'}")
     return 0
 

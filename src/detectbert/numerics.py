@@ -94,7 +94,8 @@ class Tensor:
         self.grad = None
 
     def backward(self):
-        """Accumulate this tensor's gradient (upstream ones) into every reachable leaf."""
+        """Add this tensor's gradient (upstream ones) into every reachable leaf's
+        ``grad`` in place, allocating it as zeros when it is None."""
         order = _toposort(self)
         grads = {id(self): np.ones_like(self.value)}
         for node in order:
@@ -102,7 +103,9 @@ class Tensor:
             if g is None:
                 continue
             if node.requires_grad and node._vjp is None:
-                node.grad = g if node.grad is None else node.grad + g
+                if node.grad is None:
+                    node.grad = np.zeros_like(node.value)
+                node.grad += g
             if node._vjp is None:
                 continue
             for parent, pg in zip(node._parents, node._vjp(g)):

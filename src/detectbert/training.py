@@ -2,15 +2,17 @@
 
 The inner optimizer is Adam with bias correction, wrapped by Lookahead
 (every k inner steps the slow weights move a fraction alpha toward the
-fast weights, which are then reset onto them).  Training is one bag per
-step by default; model selection keeps the epoch with the best validation
-F1, earlier epochs winning ties.  Bag embeddings are inputs, never
-parameters: no gradient ever reaches them.
+fast weights, which are then reset onto them).  Both update one float64
+vector whose slices are the parameter tensors (:func:`bind_flat`).
+Training is one bag per step by default and trains the caller's parameters
+in place; model selection keeps the epoch with the best validation F1,
+earlier epochs winning ties, or the last epoch if there is no validation
+split.  Bag embeddings are inputs, never parameters: no gradient ever
+reaches them.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 import os
 from collections.abc import Sequence
@@ -69,6 +71,21 @@ def bce_loss(logit: Tensor, label: int) -> Tensor:
     )
 
 
+def bind_flat(named_params) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pack the tensors' values, in order, into one vector; rebind each value and grad to views.
+
+    Returns ``(theta, grad, bounds)``: ``grad`` is a zero vector laid out
+    as ``theta``, and the i-th tensor ends at ``bounds[i]`` in both.
+    """
+    theta = np.concatenate([p.value.ravel() for _, p in named_params])
+    grad = np.zeros_like(theta)
+    bounds = np.cumsum([p.value.size for _, p in named_params])
+    views = zip(np.split(theta, bounds[:-1]), np.split(grad, bounds[:-1]))
+    for (_, p), (value, g) in zip(named_params, views):
+        p.value, p.grad = value.reshape(p.shape), g.reshape(p.shape)
+    return theta, grad, bounds
+
+
 class Adam:
     """Adaptive-moment inner optimizer with bias correction."""
 
@@ -77,31 +94,20 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m: dict[str, np.ndarray] = {}
-        self.v: dict[str, np.ndarray] = {}
+        self.m = self.v = None
 
-    def step(self, named_params, lr: float):
-        """One update from the gradients currently stored on the tensors."""
+    def step(self, theta: np.ndarray, grad: np.ndarray, lr: float):
+        """One in-place update of the parameter vector ``theta`` from its gradient ``grad``."""
+        if self.m is None:
+            self.m, self.v = np.zeros_like(theta), np.zeros_like(theta)
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
-        for name, p in named_params:
-            g = p.grad
-            if g is None:
-                g = np.zeros_like(p.value)
-            if p.value.shape != g.shape:
-                raise ValueError(f"gradient shape mismatch for {name!r}")
-            m = self.m.get(name)
-            if m is None:
-                m = np.zeros_like(p.value)
-                self.m[name] = m
-                self.v[name] = np.zeros_like(p.value)
-            v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p.value -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        self.m *= self.beta1
+        self.m += (1.0 - self.beta1) * grad
+        self.v *= self.beta2
+        self.v += (1.0 - self.beta2) * (grad * grad)
+        theta -= lr * (self.m / bc1) / (np.sqrt(self.v / bc2) + self.eps)
 
 
 class Lookahead:
@@ -112,7 +118,7 @@ class Lookahead:
     the inner trajectory; alpha=0 leaves the slow weights untouched.
     """
 
-    def __init__(self, named_params, k: int, alpha: float):
+    def __init__(self, theta: np.ndarray, k: int, alpha: float):
         if k < 1:
             raise ValueError("lookahead k must be >= 1")
         if not 0.0 <= alpha <= 1.0:
@@ -120,17 +126,16 @@ class Lookahead:
         self.k = k
         self.alpha = alpha
         self.counter = 0
-        self.slow = {name: p.value.copy() for name, p in named_params}
+        self.slow = theta.copy()
 
-    def after_inner_step(self, named_params):
+    def after_inner_step(self, theta: np.ndarray):
+        """Count one inner step of the fast weights ``theta``; every k-th, sync them in place."""
         self.counter += 1
         if self.counter < self.k:
             return
         self.counter = 0
-        for name, p in named_params:
-            slow = self.slow[name]
-            slow += self.alpha * (p.value - slow)
-            p.value[...] = slow
+        self.slow += self.alpha * (theta - self.slow)
+        theta[...] = self.slow
 
 
 # The derived rates every report lists, in report order.
@@ -267,77 +272,72 @@ def split_temporal(manifest) -> SplitPlan:
 class TrainResult:
     params: object
     best_epoch: int
-    best_f1: float
+    best_f1: float | None  # None when there was no validation split
     history: list[dict] = field(default_factory=list)
 
 
 def train(
     config: TrainConfig, train_bags: Sequence[Bag], val_bags: Sequence[Bag], params
 ) -> TrainResult:
-    """Run the epoch loop from ``params`` and return the best-validation-F1 parameters.
+    """Train ``params`` in place and return them at the best-validation-F1 epoch.
 
     ``params`` is the attention head's or a baseline's freshly initialized
-    parameters (anything with ``logit``, ``named_parameters`` and
-    ``zero_grads``); it is updated in place.  Each bag is taken from its
-    sequence when it is used (a training bag when the epoch order reaches
-    it, a validation bag when it is scored), so file-backed sequences
+    parameters (anything with ``logit`` and ``named_parameters``).  Their
+    tensors become views of one vector (:func:`bind_flat`); ``result.params``
+    is ``params``, holding the selected epoch's values (the last epoch's if
+    ``val_bags`` is empty) and no gradients.  Each bag is taken from its
+    sequence when it is used, so file-backed sequences
     (:func:`data.load_bags`) hold one bag at a time.  Fully deterministic
-    given the config seed: per-epoch bag order and baseline instance redraws
-    derive from it by name.
+    given the config seed: per-epoch bag order and baseline instance
+    redraws derive from it by name.
     """
     if not train_bags:
         raise ValueError("training split is empty")
     named = params.named_parameters()
+    theta, grad, bounds = bind_flat(named)
     adam = Adam()
-    lookahead = Lookahead(named, config.lookahead_k, config.lookahead_alpha)
+    lookahead = Lookahead(theta, config.lookahead_k, config.lookahead_alpha)
 
-    best_params, best_f1, best_epoch = None, -1.0, -1
+    best_f1, best_epoch = -1.0, -1
     history = []
     for epoch in range(config.epochs):
         order = derive_rng(config.seed, "epoch-order", epoch).permutation(len(train_bags))
         epoch_seed = derive_seed(config.seed, "baseline-epoch", epoch)
         loss_sum = 0.0
         pending = 0
-        params.zero_grads()
         for step_idx, bag_idx in enumerate(order):
             bag = train_bags[int(bag_idx)]
             loss = bce_loss(params.logit(bag, epoch_seed), bag.label)
             value = loss.item()
             if not math.isfinite(value):
-                raise TrainingDivergedError(
-                    f"non-finite loss at epoch {epoch}, bag {bag.app_id!r}"
-                )
+                raise TrainingDivergedError(f"non-finite loss at epoch {epoch}, bag {bag.app_id!r}")
             loss_sum += value
             loss.backward()
-            for name, p in named:
-                if p.grad is not None and not np.isfinite(p.grad).all():
-                    raise TrainingDivergedError(
-                        f"non-finite gradient of {name!r} at epoch {epoch}, bag {bag.app_id!r}"
-                    )
+            if not np.isfinite(grad).all():
+                name = named[np.searchsorted(bounds, np.argmin(np.isfinite(grad)), "right")][0]
+                raise TrainingDivergedError(
+                    f"non-finite gradient of {name!r} at epoch {epoch}, bag {bag.app_id!r}"
+                )
             pending += 1
             if pending == config.batch_size or step_idx == len(order) - 1:
-                if pending > 1:
-                    for _, p in named:
-                        if p.grad is not None:
-                            p.grad /= pending
-                adam.step(named, config.learning_rate)
-                lookahead.after_inner_step(named)
-                params.zero_grads()
+                grad /= pending
+                adam.step(theta, grad, config.learning_rate)
+                lookahead.after_inner_step(theta)
+                grad[...] = 0.0
                 pending = 0
         record = {"epoch": epoch, "train_loss": loss_sum / len(train_bags)}
+        f1 = None
         if val_bags:
             val_metrics, _ = evaluate(params, val_bags, config.threshold)
             record.update({f"val_{k}": v for k, v in val_metrics.as_dict().items()})
             f1 = val_metrics.f1
-        else:
-            f1 = 0.0
         history.append(record)
-        if f1 > best_f1:
-            best_f1 = f1
-            best_epoch = epoch
-            best_params = copy.deepcopy(params)
-    best_params.zero_grads()
-    return TrainResult(params=best_params, best_epoch=best_epoch, best_f1=best_f1, history=history)
+        if f1 is None or f1 > best_f1:
+            best_theta, best_f1, best_epoch = theta.copy(), f1, epoch
+    theta[...] = best_theta
+    for _, p in named:
+        p.grad = None
+    return TrainResult(params=params, best_epoch=best_epoch, best_f1=best_f1, history=history)
 
 
 def evaluate(params, bags: Sequence[Bag], threshold: float = 0.5):

@@ -37,6 +37,7 @@ from detectbert.training import (
     Lookahead,
     TrainConfig,
     bce_loss,
+    bind_flat,
     evaluate,
     train,
 )
@@ -144,19 +145,17 @@ class TestAcceptance:
 
         def run_steps(use_lookahead, alpha):
             params = init_params(cfg, seed=55)
-            named = params.named_parameters()
+            theta, grad, _ = bind_flat(params.named_parameters())
             adam = Adam()
-            look = Lookahead(named, k=1, alpha=alpha) if use_lookahead else None
+            look = Lookahead(theta, k=1, alpha=alpha) if use_lookahead else None
             snapshots = []
             for _ in range(100):
-                params.zero_grads()
+                grad[...] = 0.0
                 bce_loss(forward(bag, params), bag.label).backward()
-                adam.step(named, 1e-3)
+                adam.step(theta, grad, 1e-3)
                 if look is not None:
-                    look.after_inner_step(named)
-                snapshots.append(
-                    np.concatenate([p.value.ravel() for _, p in named]).copy()
-                )
+                    look.after_inner_step(theta)
+                snapshots.append(theta.copy())
             return snapshots, look
 
         plain, _ = run_steps(False, None)
@@ -166,16 +165,16 @@ class TestAcceptance:
         )
 
         params = init_params(cfg, seed=55)
-        named = params.named_parameters()
-        initial = {name: p.value.copy() for name, p in named}
+        theta, grad, _ = bind_flat(params.named_parameters())
+        initial = theta.copy()
         adam = Adam()
-        look = Lookahead(named, k=5, alpha=0.0)
+        look = Lookahead(theta, k=5, alpha=0.0)
         for _ in range(100):
-            params.zero_grads()
+            grad[...] = 0.0
             bce_loss(forward(bag, params), bag.label).backward()
-            adam.step(named, 1e-3)
-            look.after_inner_step(named)
-        frozen = all((look.slow[name] == initial[name]).all() for name in initial)
+            adam.step(theta, grad, 1e-3)
+            look.after_inner_step(theta)
+        frozen = bool((look.slow == initial).all())
 
         report(
             5,

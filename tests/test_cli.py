@@ -217,6 +217,22 @@ class TestTrainEvaluate:
         assert "error" in capsys.readouterr().err
 
 
+    def test_without_validation_split_keeps_the_last_epoch(self, tmp_path, capsys):
+        # under 10 apps, split_shuffled gives empty validation and test splits
+        data = tmp_path / "data"
+        assert run(["gen-synth", "--out", data, "--bags", "9", "--dim", "8",
+                    "--bag-size-min", "2", "--bag-size-max", "6", "--seed", "11"]) == 0
+        capsys.readouterr()
+        checkpoints = []
+        for epochs in ("1", "5"):
+            out = tmp_path / f"run{epochs}"
+            assert run(["train", "--manifest", data / "manifest.csv", "--out", out]
+                       + FAST[2:] + ["--epochs", epochs, "--learning-rate", "0.01"]) == 0
+            last = int(epochs) - 1
+            assert f"best epoch {last} (no validation split)" in capsys.readouterr().out
+            checkpoints.append((out / "checkpoint.dbck").read_bytes())
+        assert checkpoints[0] != checkpoints[1]
+
 def single_error_line(capsys) -> str:
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), err

@@ -371,3 +371,14 @@ class TestTensorBasics:
         out = nm.add(nm.mul(a, a), a)  # a^2 + a, d/da = 2a + 1 = 3
         out.backward()
         assert a.grad[0, 0] == pytest.approx(3.0)
+
+    def test_leaves_of_one_add_own_their_gradients(self):
+        a = Tensor(np.ones((1, 2)), requires_grad=True)
+        b = Tensor(np.ones((1, 2)), requires_grad=True)
+        nm.add(a, b).backward()
+        assert a.grad is not b.grad
+        grads = a.grad, b.grad
+        nm.add(a, b).backward()  # a second backward adds into the same arrays
+        assert a.grad is grads[0] and b.grad is grads[1]
+        np.testing.assert_array_equal(a.grad, [[2.0, 2.0]])
+        np.testing.assert_array_equal(b.grad, [[2.0, 2.0]])

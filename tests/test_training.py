@@ -1,5 +1,6 @@
 """Loss, optimizers, splits, metrics, and the epoch loop."""
 
+import copy
 import datetime as dt
 import math
 import multiprocessing
@@ -13,7 +14,7 @@ from detectbert.baselines import aggregate, init_baseline
 from detectbert.data import BagFormatError, ManifestRecord, SynthConfig, synth_bag
 from detectbert.model import Bag, ModelConfig, init_params, logistic, predict
 from detectbert.numerics import Tensor
-from detectbert.seeding import derive_seed
+from detectbert.seeding import derive_rng, derive_seed
 from detectbert.training import (
     Adam,
     Lookahead,
@@ -84,24 +85,21 @@ class TestBceLoss:
 
 class TestAdam:
     def test_first_step_is_signed_lr(self):
-        p = Tensor(np.array([[1.0, -2.0]]), requires_grad=True)
-        p.grad = np.array([[0.5, -3.0]])
-        Adam().step([("p", p)], lr=0.01)
-        np.testing.assert_allclose(p.value, [[1.0 - 0.01, -2.0 + 0.01]], atol=1e-8)
+        theta = np.array([1.0, -2.0])
+        Adam().step(theta, np.array([0.5, -3.0]), lr=0.01)
+        np.testing.assert_allclose(theta, [1.0 - 0.01, -2.0 + 0.01], atol=1e-8)
 
     def test_zero_gradient_leaves_params(self):
-        p = Tensor(np.array([[1.0]]), requires_grad=True)
-        p.grad = np.zeros((1, 1))
-        Adam().step([("p", p)], lr=0.1)
-        assert p.value[0, 0] == 1.0
+        theta = np.array([1.0])
+        Adam().step(theta, np.zeros(1), lr=0.1)
+        assert theta[0] == 1.0
 
     def test_two_steps_match_hand_unrolled_recurrence(self):
         g, lr, b1, b2, eps = 0.7, 0.05, 0.9, 0.999, 1e-8
-        p = Tensor(np.array([[2.0]]), requires_grad=True)
+        theta_vec = np.array([2.0])
         adam = Adam(b1, b2, eps)
         for _ in range(2):
-            p.grad = np.array([[g]])
-            adam.step([("p", p)], lr)
+            adam.step(theta_vec, np.array([g]), lr)
         # hand recurrence
         theta, m, v = 2.0, 0.0, 0.0
         for t in (1, 2):
@@ -110,24 +108,22 @@ class TestAdam:
             mhat = m / (1 - b1 ** t)
             vhat = v / (1 - b2 ** t)
             theta -= lr * mhat / (math.sqrt(vhat) + eps)
-        assert abs(p.value[0, 0] - theta) < 1e-12
+        assert abs(theta_vec[0] - theta) < 1e-12
 
 
 class TestLookahead:
     def run_quadratic(self, k, alpha, steps=100, lr=0.05):
         """Adam on f(theta) = theta^2 / 2, optionally wrapped by Lookahead."""
-        p = Tensor(np.array([[1.0]]), requires_grad=True)
-        named = [("p", p)]
+        theta = np.array([1.0])
         adam = Adam()
-        look = Lookahead(named, k=k, alpha=alpha) if alpha is not None else None
+        look = Lookahead(theta, k=k, alpha=alpha) if alpha is not None else None
         trajectory = []
         for _ in range(steps):
-            p.grad = p.value.copy()
-            adam.step(named, lr)
+            adam.step(theta, theta.copy(), lr)
             if look is not None:
-                look.after_inner_step(named)
-            trajectory.append(p.value[0, 0])
-        return np.array(trajectory), (look.slow["p"][0, 0] if look else None)
+                look.after_inner_step(theta)
+            trajectory.append(theta[0])
+        return np.array(trajectory), (look.slow[0] if look else None)
 
     def test_alpha_one_k_one_equals_inner(self):
         wrapped, _ = self.run_quadratic(k=1, alpha=1.0)
@@ -337,6 +333,90 @@ class TestTrainLoop:
         result = train(config, bags, bags, init_baseline("elementwise_average", 4, seed=9))
         # lr=0 makes every epoch identical, so the tie resolves to epoch 0
         assert result.best_epoch == 0
+
+
+def reference_train(config, train_bags, val_bags, params):
+    """The epoch loop as a loop over the tensors: Adam's moments and Lookahead's
+    slow weights held per tensor name, and a deep copy of the parameters at
+    each new best validation F1.  Returns (best params, best epoch)."""
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    named = params.named_parameters()
+    m = {name: np.zeros_like(p.value) for name, p in named}
+    v = {name: np.zeros_like(p.value) for name, p in named}
+    slow = {name: p.value.copy() for name, p in named}
+    t = counter = 0
+    best, best_f1, best_epoch = None, -1.0, -1
+    for epoch in range(config.epochs):
+        order = derive_rng(config.seed, "epoch-order", epoch).permutation(len(train_bags))
+        epoch_seed = derive_seed(config.seed, "baseline-epoch", epoch)
+        pending = 0
+        for step_idx, bag_idx in enumerate(order):
+            bag = train_bags[int(bag_idx)]
+            bce_loss(params.logit(bag, epoch_seed), bag.label).backward()
+            pending += 1
+            if pending < config.batch_size and step_idx < len(order) - 1:
+                continue
+            t += 1
+            for name, p in named:
+                g = np.zeros_like(p.value) if p.grad is None else p.grad / pending
+                m[name] *= b1
+                m[name] += (1.0 - b1) * g
+                v[name] *= b2
+                v[name] += (1.0 - b2) * (g * g)
+                p.value -= config.learning_rate * (m[name] / (1.0 - b1 ** t)) / (
+                    np.sqrt(v[name] / (1.0 - b2 ** t)) + eps
+                )
+                p.zero_grad()
+            counter += 1
+            if counter == config.lookahead_k:
+                counter = 0
+                for name, p in named:
+                    slow[name] += config.lookahead_alpha * (p.value - slow[name])
+                    p.value[...] = slow[name]
+            pending = 0
+        f1 = evaluate(params, val_bags, config.threshold)[0].f1
+        if f1 > best_f1:
+            best, best_f1, best_epoch = copy.deepcopy(params), f1, epoch
+    return best, best_epoch
+
+
+class TestVectorTraining:
+    """train on one parameter vector gives the bits of a loop over the tensors."""
+
+    @pytest.mark.parametrize("model", ["attention", "random_selection"])
+    def test_bits_equal_a_per_tensor_loop(self, usable_cpus, model):
+        usable_cpus(1)
+        bags = make_bags(np.random.default_rng(7), 14, d=8)
+        config = TrainConfig(learning_rate=1e-2, epochs=2, batch_size=3, lookahead_k=2,
+                             lookahead_alpha=0.5, seed=4)
+
+        def fresh():
+            if model == "attention":
+                return init_params(ModelConfig(d=8, heads=2, landmarks=4, pinv_iters=6), seed=4)
+            return init_baseline(model, 8, seed=4)
+
+        result = train(config, bags[:10], bags[10:], fresh())
+        expected, expected_epoch = reference_train(config, bags[:10], bags[10:], fresh())
+        assert result.best_epoch == expected_epoch
+        for (name, p), (_, q) in zip(result.params.named_parameters(),
+                                     expected.named_parameters()):
+            assert (p.value == q.value).all(), name
+
+    def test_returns_the_callers_params_without_gradients(self):
+        bags = make_bags(np.random.default_rng(8), 6, d=4)
+        params = init_params(ModelConfig(d=4, heads=2, landmarks=4), seed=1)
+        result = train(TrainConfig(epochs=2, seed=1), bags[:4], bags[4:], params)
+        assert result.params is params
+        assert all(p.grad is None for _, p in params.named_parameters())
+
+    def test_without_validation_keeps_the_last_epoch(self):
+        bags = make_bags(np.random.default_rng(9), 5, d=4)
+        one = train(TrainConfig(epochs=1, seed=2, learning_rate=1e-2), bags, [],
+                    init_baseline("elementwise_average", 4, seed=2))
+        three = train(TrainConfig(epochs=3, seed=2, learning_rate=1e-2), bags, [],
+                      init_baseline("elementwise_average", 4, seed=2))
+        assert (three.best_epoch, three.best_f1) == (2, None)
+        assert (one.params.head_weights.value != three.params.head_weights.value).any()
 
 
 class TestEvaluate:
