@@ -7,7 +7,12 @@ landmark count.  With as many landmarks as rows the two coincide up to
 the pseudo-inverse tolerance, which is the basis of the oracle tests.
 Both work on one head's 2-D tensors.  ``multi_head_nystrom``, the layer
 the model runs, is one fused node over all heads that the tests check
-against the per-head composition of these two.
+against the per-head composition of these two.  Past the exact regime it
+goes through the sequence in blocks of ``BLOCK_ROWS`` rows: the softmax
+of the landmark-key scores times V is summed over key blocks with a
+running row max, and the queries are projected and attended one block at
+a time, so it holds no heads x n x landmarks kernel and no whole Q, K or
+V unless it records a graph.
 """
 
 from __future__ import annotations
@@ -18,6 +23,9 @@ import numpy as np
 
 from . import numerics as nm
 from .numerics import DEFAULT_PINV_ITERS, ShapeError, Tensor, mT
+
+# Rows per block of the Nystrom node's key, value and query loops.
+BLOCK_ROWS = 256
 
 
 def _scores(q: Tensor, k: Tensor) -> Tensor:
@@ -63,18 +71,25 @@ def multi_head_nystrom(
     """Multi-head Nystrom self-attention of ``x``, as one differentiable node.
 
     ``weights`` are the d x d projections ``(w_q, w_k, w_v, w_o)`` for an
-    input of width d, and ``heads`` must divide d.  Q, K and V are split
-    into ``(heads, rows, d / heads)`` arrays and every head runs in the same
-    array operations; the node's backward rule is hand-written.
+    input of width d, and ``heads`` must divide d.  Every head runs in the
+    same ``(heads, rows, d / heads)`` array operations, each head's output
+    is written straight into its columns of one ``(rows, d)`` array, and
+    the node's backward rule is hand-written.
 
     The landmark count is clamped to the sequence length.  When it reaches
     the sequence length (the exact regime) every landmark is a single row,
     the Nystrom product is exact softmax attention, and the node computes
     that directly, with no pseudo-inverse.  Otherwise it runs
     :func:`nystrom_attention`'s math, with one pseudo-inverse loop for all
-    heads.  ``rows`` limits the output to the first ``rows`` query rows
-    (default: all); keys, values and both landmark sets still use every
-    row.  The tests check the node against the per-head composition of
+    heads, over blocks of ``BLOCK_ROWS`` rows: the landmarks are projected
+    from segment means of ``x``, the keys and values are projected and
+    summed one block at a time, and so are the queries, so no array of the
+    sequence's length is held beyond ``x`` and the output.  ``rows`` limits
+    the output to the first ``rows`` query rows (default: all); keys,
+    values and both landmark sets still use every row.  A recorded call
+    runs the same arithmetic and also keeps the blocks its backward rule
+    needs, so it gives the bits of a call with no graph.  The tests check
+    the node against the per-head composition of
     :func:`nystrom_attention` / :func:`exact_attention`.
     """
     x = nm.as_tensor(x)
@@ -94,12 +109,12 @@ def multi_head_nystrom(
     xv = x.value
     w_q, w_k, w_v, w_o = (w.value for w in weights)
     m = min(landmarks, n)
+    merged = np.empty((r, d))
+    out = _split_heads(merged, heads)
     if m == n:
-        out, heads_vjp = _exact_heads(xv, w_q, w_k, w_v, heads, r, record)
+        heads_vjp = _exact_heads(xv, w_q, w_k, w_v, r, record, out)
     else:
-        out, heads_vjp = _nystrom_heads(xv, w_q, w_k, w_v, heads, m, r, iters, record)
-    merged = _merge_heads(out)
-    del out
+        heads_vjp = _nystrom_heads(xv, w_q, w_k, w_v, m, r, iters, record, out)
 
     def vjp(g):
         gq, gk, gv = (_merge_heads(t) for t in heads_vjp(_split_heads(g @ w_o.T, heads)))
@@ -120,6 +135,11 @@ def _merge_heads(a):
     return a.transpose(1, 0, 2).reshape(a.shape[1], -1)
 
 
+def _joined(parts, axis: int):
+    """``parts`` concatenated along ``axis``; a single part is returned as it is, not copied."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=axis)
+
+
 def _kernel(q, k, c: float):
     """softmax(c * q k^T) per head, scaled and normalized in place."""
     s = q @ mT(k)
@@ -134,14 +154,16 @@ def _kernel_vjp(kernel, g, c: float):
     return gs
 
 
-def _exact_heads(xv, w_q, w_k, w_v, heads, r, record):
-    """Exact attention of the first ``r`` query rows, per head, and the heads' vjp."""
+def _exact_heads(xv, w_q, w_k, w_v, r, record, out):
+    """Exact attention of the first ``r`` query rows, per head, into ``out``; the heads' vjp."""
+    heads = out.shape[0]
     q, k, v = (_split_heads(xv @ w, heads) for w in (w_q, w_k, w_v))
     c = 1.0 / math.sqrt(q.shape[-1])
     q_r = q[:, :r]
     kernel = _kernel(q_r, k, c)
+    np.matmul(kernel, v, out=out)
     if not record:
-        return kernel @ v, None
+        return None
 
     def vjp(g):
         gs = _kernel_vjp(kernel, g @ mT(v), c)
@@ -149,38 +171,69 @@ def _exact_heads(xv, w_q, w_k, w_v, heads, r, record):
         gq[:, :r] = gs @ k
         return gq, mT(gs) @ q_r, mT(kernel) @ g
 
-    return kernel @ v, vjp
+    return vjp
 
 
-def _nystrom_heads(xv, w_q, w_k, w_v, heads, m, r, iters, record):
-    """Nystrom attention of the first ``r`` query rows, per head, and the heads' vjp.
+def _nystrom_heads(xv, w_q, w_k, w_v, m, r, iters, record, out):
+    """Nystrom attention of the first ``r`` query rows, per head, into ``out``; the heads' vjp.
 
-    Joined as A (Z (C V)), so the r x m product A Z is never formed.
-    Unless recording, each intermediate is dropped once it is used.
+    Joined as A (Z (C V)), so the r x m product A Z is never formed.  C V
+    is summed over blocks of keys with a running row max and row sum, and
+    A is formed one block of query rows at a time, so without recording no
+    array of the sequence's length is made.  A recorded call also keeps
+    each block, and its vjp works on the blocks joined.
     """
-    n = xv.shape[0]
+    n, heads = xv.shape[0], out.shape[0]
     bounds = np.array(nm.segment_bounds(n, m))
-    q = _split_heads(xv @ w_q, heads)
-    k = _split_heads(xv @ w_k, heads)
-    c = 1.0 / math.sqrt(q.shape[-1])
-    q_land = nm.segment_mean_rows(q, bounds)
-    k_land = nm.segment_mean_rows(k, bounds)
+    x_land = nm.segment_mean_rows(xv, bounds)
+    q_land = _split_heads(x_land @ w_q, heads)
+    k_land = _split_heads(x_land @ w_k, heads)
+    del x_land
+    c = 1.0 / math.sqrt(q_land.shape[-1])
     kernel_ll = _kernel(q_land, k_land, c)
     trail = [] if record else None
     z = nm.pinv_iterate(kernel_ll, iters, trail)
-    kernel_lk = _kernel(q_land, k, c)
-    if not record:
-        del k
-    v = _split_heads(xv @ w_v, heads)
-    cv = kernel_lk @ v
-    if not record:
-        del kernel_lk, v
+    top = np.full(q_land.shape[:-1] + (1,), -np.inf)  # running max of each row of C's scores
+    total = np.zeros(top.shape)
+    cv = np.zeros(q_land.shape)
+    key_blocks = []
+    for start in range(0, n, BLOCK_ROWS):
+        xb = xv[start:start + BLOCK_ROWS]
+        kb = _split_heads(xb @ w_k, heads)
+        vb = _split_heads(xb @ w_v, heads)
+        eb = q_land @ mT(kb)
+        eb *= c
+        new_top = np.maximum(top, eb.max(axis=-1, keepdims=True))
+        eb -= new_top
+        np.exp(eb, out=eb)
+        shrink = np.exp(top - new_top)
+        total *= shrink
+        total += eb.sum(axis=-1, keepdims=True)
+        cv *= shrink
+        cv += eb @ vb
+        top = new_top
+        if record:
+            key_blocks.append((kb, vb, eb, new_top))
+        del kb, vb, eb  # before the next block's are made
+    cv /= total
     zcv = z @ cv
-    q_r = q[:, :r]
-    kernel_qk = _kernel(q_r, k_land, c)
+    query_blocks = []
+    for start in range(0, r, BLOCK_ROWS):
+        stop = min(start + BLOCK_ROWS, r)
+        qb = _split_heads(xv[start:stop] @ w_q, heads)
+        kernel_qk = _kernel(qb, k_land, c)
+        np.matmul(kernel_qk, zcv, out=out[:, start:stop])
+        if record:
+            query_blocks.append((qb, kernel_qk))
+        del qb, kernel_qk
     if not record:
-        del q, q_r
-        return kernel_qk @ zcv, None
+        return None
+    kbs, vbs, ebs, tops = zip(*key_blocks)
+    for eb, t in zip(ebs, tops):
+        eb *= np.exp(t - top)  # each block's exponentials, taken against the final row max
+    k, v, kernel_lk = _joined(kbs, 1), _joined(vbs, 1), _joined(ebs, -1)
+    kernel_lk /= total
+    q_r, kernel_qk = (_joined(parts, 1) for parts in zip(*query_blocks))
 
     def vjp(g):
         g_zcv = mT(kernel_qk) @ g
@@ -200,4 +253,4 @@ def _nystrom_heads(xv, w_q, w_k, w_v, heads, m, r, iters, record):
         gq[:, :r] += gq_r
         return gq, gk, gv
 
-    return kernel_qk @ zcv, vjp
+    return vjp

@@ -348,8 +348,10 @@ def evaluate(params, bags: Sequence[Bag], threshold: float = 0.5):
     and sending back only its record.  Records come back in bag order, and
     a failure is raised as the first failing bag's, as a serial loop would
     raise it; a worker that dies raises ``BrokenProcessPool`` (a
-    ``RuntimeError``).  With one worker, or where ``os.sched_getaffinity``
-    (and with it ``fork``) is missing, the bags are scored in this process.
+    ``RuntimeError``).  With one worker, where ``os.sched_getaffinity``
+    (and with it ``fork``) is missing, or in a daemonic process (such as a
+    ``multiprocessing.Pool`` worker, which may not start children), the
+    bags are scored in this process.
     Workers inherit the parent's BLAS configuration, so the scores are the
     same bits at any worker count.
 
@@ -365,6 +367,9 @@ def evaluate(params, bags: Sequence[Bag], threshold: float = 0.5):
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
+        if multiprocessing.current_process().daemon:  # it may not start children
+            workers = 1
+    if workers > 1:
         with ProcessPoolExecutor(
             workers, mp_context=multiprocessing.get_context("fork"),
             initializer=_init_worker, initargs=args,

@@ -5,6 +5,7 @@ import pytest
 
 from detectbert import numerics as nm
 from detectbert.attention import (
+    BLOCK_ROWS,
     exact_attention,
     multi_head_nystrom,
     nystrom_attention,
@@ -225,7 +226,7 @@ def value_and_grads(build, leaves, loss_w):
 class TestFusedNode:
     """The fused node against :func:`composed_multi_head`."""
 
-    @pytest.mark.parametrize("case", range(40))
+    @pytest.mark.parametrize("case", range(42))
     def test_matches_composed_path(self, case):
         rng = np.random.default_rng(100 + case)
         heads = int(rng.choice([1, 2, 4]))
@@ -237,6 +238,9 @@ class TestFusedNode:
             n, heads, d = (1, 2, 4, 6)[case], 1, 3
         rows = 1 if case % 3 == 0 else None
         iters = int(rng.choice([1, 6, 24]))
+        if case >= 40:  # keys span three row blocks, and so do the queries at rows=None
+            n, heads, d, landmarks, iters = 2 * BLOCK_ROWS + 3, 2, 8, 8, 6
+            rows = (None, 1)[case - 40]
         x = Tensor(rng.standard_normal((n, d)), requires_grad=True)
         weights = [Tensor(0.5 * rng.standard_normal((d, d)), requires_grad=True) for _ in range(4)]
         loss_w = rng.standard_normal((rows or n, d))
@@ -269,13 +273,15 @@ class TestFusedNode:
 
     def test_no_grad_call_gives_the_recorded_bits(self):
         rng = np.random.default_rng(13)
-        for n, landmarks in ((6, 8), (40, 5)):
+        spans = 3 * BLOCK_ROWS + 5  # three full row blocks and a partial one
+        cases = ((6, 8, 6, 1), (40, 5, 6, 1), (spans, 16, 24, 1), (spans, 16, 24, None))
+        for n, landmarks, iters, rows in cases:
             x = Tensor(rng.standard_normal((n, 8)), requires_grad=True)
             weights = [Tensor(0.5 * rng.standard_normal((8, 8)), requires_grad=True) for _ in range(4)]
-            recorded = multi_head_nystrom(x, weights, 4, landmarks, 6, rows=1)
+            recorded = multi_head_nystrom(x, weights, 4, landmarks, iters, rows=rows)
             assert recorded.requires_grad
             with nm.no_grad():
-                plain = multi_head_nystrom(x, weights, 4, landmarks, 6, rows=1)
+                plain = multi_head_nystrom(x, weights, 4, landmarks, iters, rows=rows)
             assert np.array_equal(recorded.value, plain.value)
 
 

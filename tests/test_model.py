@@ -187,6 +187,16 @@ class TestPredict:
             assert recorded.requires_grad
             assert predict(bag, params)["score"] == logistic(recorded.item())
 
+    def test_long_bag_holds_a_few_copies_of_itself(self, allocates_under):
+        """At the infer-large shape, predict's transient is the sequence, its normed copy,
+        the attention output and a few row blocks: under 5 bag-sized arrays."""
+        n, d = 1000, 256
+        bag = make_bag(np.random.default_rng(9), n=n, d=d)
+        params = init_params(ModelConfig(d=d, heads=8, landmarks=64, pinv_iters=24), seed=9)
+        predict(bag, params)  # one-time allocations happen here
+        with allocates_under(5 * n * d * 8):
+            predict(bag, params)
+
 
 class TestCheckpoints:
     def test_roundtrip_is_bitwise(self, tmp_path):

@@ -503,6 +503,18 @@ class TestEvaluateWorkers:
             evaluate(init_baseline("elementwise_average", 4, seed=0), bags)
         assert multiprocessing.active_children() == []
 
+    def test_a_daemonic_caller_scores_inline(self, usable_cpus):
+        bags = make_bags(np.random.default_rng(10), 4, d=4)
+        params = init_baseline("elementwise_average", 4, seed=0)
+        usable_cpus(1)
+        _, serial = evaluate(params, bags)
+        usable_cpus(2)
+        # a Pool worker is daemonic, and a daemonic process may not start children
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            _, per_app = pool.apply(evaluate, (params, bags))
+        assert per_app == serial
+        assert multiprocessing.active_children() == []
+
     def test_a_killed_worker_raises_a_runtime_error_and_leaves_no_child(self, usable_cpus):
         usable_cpus(2)
         bags = make_bags(np.random.default_rng(9), 12, d=4)
