@@ -391,7 +391,9 @@ def pinv_iterate(a: np.ndarray, iters: int, trail: list | None = None) -> np.nda
     Z0 = a^T / (||a||_1 * ||a||_inf), then
     Z <- 1/4 * Z (13 I - aZ (15 I - aZ (7 I - aZ))), ``iters`` times.
 
-    A ``trail`` list receives each step's intermediates for :func:`pinv_vjp`.
+    A ``trail`` list receives each step's ``(Z, aZ, t3, p)``, where
+    t3 = 15 I - aZ (7 I - aZ) and p = 13 I - aZ t3, for :func:`pinv_vjp`;
+    it does not keep 7 I - aZ, which the vjp recomputes from aZ.
     """
     if iters < 1:
         raise ValueError(f"iterative_pinv: iters must be >= 1, got {iters}")
@@ -413,18 +415,24 @@ def pinv_iterate(a: np.ndarray, iters: int, trail: list | None = None) -> np.nda
         p = y @ t3
         np.subtract(eye13, p, out=p)
         if trail is not None:
-            trail.append((z, y, t1, t3, p))
-        del y, t1, t3  # unless the trail holds them
+            trail.append((z, y, t3, p))
+        del y, t1, t3  # y and t3 live on if the trail holds them
         z = z @ p
         z *= 0.25
     return z
 
 
 def pinv_vjp(a: np.ndarray, trail: list, g: np.ndarray) -> np.ndarray:
-    """Gradient of :func:`pinv_iterate`'s input, given its output's gradient ``g``."""
+    """Gradient of :func:`pinv_iterate`'s input, given its output's gradient ``g``.
+
+    ``trail`` is the forward's; each step's 7 I - aZ is recomputed by the
+    forward's own expression, so it has the bits the forward used.
+    """
     gz = g
     ga = np.zeros(a.shape)
-    for z_t, y, t1, t3, p in reversed(trail):
+    eye7 = 7.0 * np.eye(a.shape[-1])
+    for z_t, y, t3, p in reversed(trail):
+        t1 = eye7 - y
         gp = 0.25 * (mT(z_t) @ gz)
         gz_t = 0.25 * (gz @ mT(p))
         # p = 13I - y @ t3, t3 = 15I - y @ t1, t1 = 7I - y

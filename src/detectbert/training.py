@@ -87,7 +87,13 @@ def bind_flat(named_params) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 class Adam:
-    """Adaptive-moment inner optimizer with bias correction."""
+    """Adaptive-moment inner optimizer with bias correction.
+
+    A step allocates no parameter-sized array: it computes in place, into
+    two scratch vectors made with the moments, in the operation order of
+    ``theta -= lr * (m / bc1) / (sqrt(v / bc2) + eps)``, so the bits are
+    those of that expression.
+    """
 
     def __init__(self, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.beta1 = beta1
@@ -100,14 +106,23 @@ class Adam:
         """One in-place update of the parameter vector ``theta`` from its gradient ``grad``."""
         if self.m is None:
             self.m, self.v = np.zeros_like(theta), np.zeros_like(theta)
+            self._num, self._den = np.empty_like(theta), np.empty_like(theta)
+        m, v, num, den = self.m, self.v, self._num, self._den
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
-        self.m *= self.beta1
-        self.m += (1.0 - self.beta1) * grad
-        self.v *= self.beta2
-        self.v += (1.0 - self.beta2) * (grad * grad)
-        theta -= lr * (self.m / bc1) / (np.sqrt(self.v / bc2) + self.eps)
+        m *= self.beta1
+        m += np.multiply(grad, 1.0 - self.beta1, out=num)
+        v *= self.beta2
+        np.multiply(grad, grad, out=num)
+        v += np.multiply(num, 1.0 - self.beta2, out=num)
+        np.divide(m, bc1, out=num)
+        num *= lr
+        np.divide(v, bc2, out=den)
+        np.sqrt(den, out=den)
+        den += self.eps
+        num /= den
+        theta -= num
 
 
 class Lookahead:
@@ -287,7 +302,9 @@ def train(
     is ``params``, holding the selected epoch's values (the last epoch's if
     ``val_bags`` is empty) and no gradients.  Each bag is taken from its
     sequence when it is used, so file-backed sequences
-    (:func:`data.load_bags`) hold one bag at a time.  Fully deterministic
+    (:func:`data.load_bags`) hold one bag at a time.  A step's recorded
+    graph is released once the next bag has been read, before that bag's
+    forward, so no step holds two graphs.  Fully deterministic
     given the config seed: per-epoch bag order and baseline instance
     redraws derive from it by name.
     """
@@ -307,6 +324,10 @@ def train(
         pending = 0
         for step_idx, bag_idx in enumerate(order):
             bag = train_bags[int(bag_idx)]
+            # Release the previous step's graph only now, not right after its
+            # backward: freed there, glibc trims the heap's top and the forward
+            # below faults it back in (3.7x the minor page faults of here).
+            loss = None
             loss = bce_loss(params.logit(bag, epoch_seed), bag.label)
             value = loss.item()
             if not math.isfinite(value):

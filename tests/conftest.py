@@ -1,7 +1,9 @@
 """Fixtures shared by the test modules."""
 
 import contextlib
+import math
 import os
+import types
 import tracemalloc
 
 import pytest
@@ -9,17 +11,20 @@ import pytest
 
 @pytest.fixture()
 def allocates_under():
-    """``with allocates_under(limit):`` fails unless the block's traced peak is below ``limit``."""
+    """``with allocates_under(limit) as traced:`` fails unless the block's traced
+    peak is below ``limit``; afterwards ``traced.peak`` is that peak in bytes, so
+    ``allocates_under()`` (no limit) measures a block for a relative bound."""
 
     @contextlib.contextmanager
-    def bound(limit):
+    def bound(limit=math.inf):
+        traced = types.SimpleNamespace(peak=None)
         tracemalloc.start()
         try:
-            yield
-            peak = tracemalloc.get_traced_memory()[1]
+            yield traced
+            traced.peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < limit, f"peak allocation {peak} bytes, bound {limit}"
+        assert traced.peak < limit, f"peak allocation {traced.peak} bytes, bound {limit}"
 
     return bound
 

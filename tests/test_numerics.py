@@ -226,6 +226,51 @@ class TestIterativePinv:
         np.testing.assert_array_equal(plain.value, recorded.value)
 
 
+def reference_pinv_vjp(a, trail, g):
+    """pinv_vjp as written when the trail kept each step's (z, y, t1, t3, p),
+    with t1 = 7I - y stored by the forward instead of recomputed."""
+    gz = g
+    ga = np.zeros(a.shape)
+    for z_t, y, t1, t3, p in reversed(trail):
+        gp = 0.25 * (nm.mT(z_t) @ gz)
+        gz_t = 0.25 * (gz @ nm.mT(p))
+        gt4 = -gp
+        gy = gt4 @ nm.mT(t3)
+        gt2 = -(nm.mT(y) @ gt4)
+        gy += gt2 @ nm.mT(t1)
+        gy -= nm.mT(y) @ gt2
+        ga += gy @ nm.mT(z_t)
+        gz = gz_t + nm.mT(a) @ gy
+    absa = np.abs(a)
+    colsums, rowsums = absa.sum(axis=-2), absa.sum(axis=-1)
+    j1, i1 = colsums.argmax(axis=-1), rowsums.argmax(axis=-1)
+    s1, s2 = colsums.max(axis=-1), rowsums.max(axis=-1)
+    s = s1 * s2
+    ga += nm.mT(gz) / s[..., None, None]
+    gs = -np.sum(gz * nm.mT(a), axis=(-2, -1)) / (s * s)
+    for h in range(a.shape[0]):
+        ga[h, :, j1[h]] += gs[h] * s2[h] * np.sign(a[h, :, j1[h]])
+        ga[h, i1[h], :] += gs[h] * s1[h] * np.sign(a[h, i1[h], :])
+    return ga
+
+
+class TestPinvTrail:
+    @pytest.mark.parametrize("iters", [6, 24])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_vjp_equals_the_five_array_trail_vjp(self, iters, seed):
+        """The trail keeps (z, y, t3, p); recomputing t1 = 7I - y in the vjp
+        gives the gradient of a trail that stored t1, bit for bit."""
+        rng = np.random.default_rng(seed)
+        heads, m = int(rng.integers(1, 5)), int(rng.integers(2, 20))
+        a = softmax_np(rng.standard_normal((heads * m, m))).reshape(heads, m, m)
+        g = rng.standard_normal((heads, m, m))
+        trail = []
+        nm.pinv_iterate(a, iters, trail)
+        assert len(trail) == iters and all(len(step) == 4 for step in trail)
+        five = [(z, y, 7.0 * np.eye(m) - y, t3, p) for z, y, t3, p in trail]
+        assert (nm.pinv_vjp(a, trail, g) == reference_pinv_vjp(a, five, g)).all()
+
+
 class TestBackwardRules:
     """Central finite differences (step 1e-5) vs analytic gradients for
     every primitive, on random small inputs."""

@@ -110,6 +110,16 @@ class TestAdam:
             theta -= lr * mhat / (math.sqrt(vhat) + eps)
         assert abs(theta_vec[0] - theta) < 1e-12
 
+    def test_second_step_allocates_nothing(self, allocates_under):
+        """A step computes in place: a million-parameter step allocates no
+        parameter-sized temporary once the first step made the moments."""
+        rng = np.random.default_rng(5)
+        theta, adam = rng.standard_normal(10**6), Adam()
+        adam.step(theta, rng.standard_normal(theta.size), lr=1e-3)
+        grad = rng.standard_normal(theta.size)
+        with allocates_under(theta.nbytes // 8):
+            adam.step(theta, grad, lr=1e-3)
+
 
 class TestLookahead:
     def run_quadratic(self, k, alpha, steps=100, lr=0.05):
@@ -417,6 +427,23 @@ class TestVectorTraining:
                       init_baseline("elementwise_average", 4, seed=2))
         assert (three.best_epoch, three.best_f1) == (2, None)
         assert (one.params.head_weights.value != three.params.head_weights.value).any()
+
+
+class TestTrainMemory:
+    def test_a_step_holds_one_graph(self, allocates_under):
+        """Over long bags (Nystrom regime, several row blocks) the recorded graph
+        dominates training memory; train holds one at a time, so its peak is
+        close to one forward and backward of its largest bag, not two."""
+        rng = np.random.default_rng(11)
+        bags = make_bags(rng, 3, d=32, n_range=(600, 720))
+        largest = max(bags, key=lambda b: b.embeddings.shape[0])
+        config = ModelConfig(d=32, heads=4, landmarks=16, pinv_iters=6)
+        params = init_params(config, seed=3)
+        bce_loss(params.logit(largest), largest.label).backward()  # allocates the grads
+        with allocates_under() as one:
+            bce_loss(params.logit(largest), largest.label).backward()
+        with allocates_under(1.25 * one.peak):
+            train(TrainConfig(epochs=2, seed=3), bags, [], init_params(config, seed=3))
 
 
 class TestEvaluate:
