@@ -10,9 +10,9 @@ the model runs, is one fused node over all heads that the tests check
 against the per-head composition of these two.  Past the exact regime it
 goes through the sequence in blocks of ``BLOCK_ROWS`` rows: the softmax
 of the landmark-key scores times V is summed over key blocks with a
-running row max, and the queries are projected and attended one block at
-a time, so it holds no heads x n x landmarks kernel and no whole Q, K or
-V unless it records a graph.
+running row max, and the queries are projected, attended and projected
+out one block at a time, so it holds no heads x n x landmarks kernel and
+no whole Q, K, V or heads output unless it records a graph.
 """
 
 from __future__ import annotations
@@ -73,8 +73,8 @@ def multi_head_nystrom(
     ``weights`` are the d x d projections ``(w_q, w_k, w_v, w_o)`` for an
     input of width d, and ``heads`` must divide d.  Every head runs in the
     same ``(heads, rows, d / heads)`` array operations, each head's output
-    is written straight into its columns of one ``(rows, d)`` array, and
-    the node's backward rule is hand-written.
+    is written straight into its columns of a ``(rows, d)`` array that
+    ``w_o`` then projects, and the node's backward rule is hand-written.
 
     The landmark count is clamped to the sequence length.  When it reaches
     the sequence length (the exact regime) every landmark is a single row,
@@ -83,14 +83,16 @@ def multi_head_nystrom(
     :func:`nystrom_attention`'s math, with one pseudo-inverse loop for all
     heads, over blocks of ``BLOCK_ROWS`` rows: the landmarks are projected
     from segment means of ``x``, the keys and values are projected and
-    summed one block at a time, and so are the queries, so no array of the
-    sequence's length is held beyond ``x`` and the output.  ``rows`` limits
-    the output to the first ``rows`` query rows (default: all); keys,
-    values and both landmark sets still use every row.  A recorded call
-    runs the same arithmetic and also keeps the blocks its backward rule
-    needs, so it gives the bits of a call with no graph.  The tests check
-    the node against the per-head composition of
-    :func:`nystrom_attention` / :func:`exact_attention`.
+    summed one block at a time, and so are the queries.  Each query
+    block's heads output is projected by ``w_o`` straight into its rows of
+    the node's one ``(rows, d)`` result, made after the key loop, so no
+    other array of the sequence's length is held beyond ``x``.  ``rows``
+    limits the output to the first ``rows`` query rows (default: all);
+    keys, values and both landmark sets still use every row.  A recorded
+    call runs the same arithmetic and also keeps the blocks its backward
+    rule needs, the whole heads output among them, so it gives the bits of
+    a call with no graph.  The tests check the node against the per-head
+    composition of :func:`nystrom_attention` / :func:`exact_attention`.
     """
     x = nm.as_tensor(x)
     n, d = x.shape
@@ -109,12 +111,12 @@ def multi_head_nystrom(
     xv = x.value
     w_q, w_k, w_v, w_o = (w.value for w in weights)
     m = min(landmarks, n)
-    merged = np.empty((r, d))
-    out = _split_heads(merged, heads)
     if m == n:
-        heads_vjp = _exact_heads(xv, w_q, w_k, w_v, r, record, out)
+        merged = np.empty((r, d))
+        heads_vjp = _exact_heads(xv, w_q, w_k, w_v, r, record, _split_heads(merged, heads))
+        result = merged @ w_o
     else:
-        heads_vjp = _nystrom_heads(xv, w_q, w_k, w_v, m, r, iters, record, out)
+        result, merged, heads_vjp = _nystrom_heads(xv, w_q, w_k, w_v, w_o, m, r, iters, record, heads)
 
     def vjp(g):
         gq, gk, gv = (_merge_heads(t) for t in heads_vjp(_split_heads(g @ w_o.T, heads)))
@@ -123,7 +125,7 @@ def multi_head_nystrom(
         gx += gv @ w_v.T
         return gx, xv.T @ gq, xv.T @ gk, xv.T @ gv, merged.T @ g
 
-    return nm.make_node(merged @ w_o, parents, vjp)
+    return nm.make_node(result, parents, vjp)
 
 
 def _split_heads(a, heads: int):
@@ -174,16 +176,20 @@ def _exact_heads(xv, w_q, w_k, w_v, r, record, out):
     return vjp
 
 
-def _nystrom_heads(xv, w_q, w_k, w_v, m, r, iters, record, out):
-    """Nystrom attention of the first ``r`` query rows, per head, into ``out``; the heads' vjp.
+def _nystrom_heads(xv, w_q, w_k, w_v, w_o, m, r, iters, record, heads):
+    """Nystrom attention of the first ``r`` query rows, projected by ``w_o``.
 
+    Returns ``(result, merged, vjp)``: the ``(r, d)`` output, the heads'
+    output before ``w_o`` (None unless recording) and the heads' vjp.
     Joined as A (Z (C V)), so the r x m product A Z is never formed.  C V
     is summed over blocks of keys with a running row max and row sum, and
-    A is formed one block of query rows at a time, so without recording no
-    array of the sequence's length is made.  A recorded call also keeps
-    each block, and its vjp works on the blocks joined.
+    A is formed one block of query rows at a time; each block's heads
+    output is projected straight into its rows of the result, so without
+    recording the result is the only array of the sequence's length made.
+    A recorded call keeps each block and the whole of ``merged``, and its
+    vjp works on the blocks joined.
     """
-    n, heads = xv.shape[0], out.shape[0]
+    n, d = xv.shape
     bounds = np.array(nm.segment_bounds(n, m))
     x_land = nm.segment_mean_rows(xv, bounds)
     q_land = _split_heads(x_land @ w_q, heads)
@@ -217,17 +223,23 @@ def _nystrom_heads(xv, w_q, w_k, w_v, m, r, iters, record, out):
         del kb, vb, eb  # before the next block's are made
     cv /= total
     zcv = z @ cv
+    result = np.empty((r, d))
+    merged = np.empty((r, d)) if record else None  # for the vjp's merged.T @ g
     query_blocks = []
     for start in range(0, r, BLOCK_ROWS):
         stop = min(start + BLOCK_ROWS, r)
         qb = _split_heads(xv[start:stop] @ w_q, heads)
         kernel_qk = _kernel(qb, k_land, c)
-        np.matmul(kernel_qk, zcv, out=out[:, start:stop])
         if record:
             query_blocks.append((qb, kernel_qk))
-        del qb, kernel_qk
+        del qb
+        # the block's heads output, made once its queries are dropped
+        block = merged[start:stop] if record else np.empty((stop - start, d))
+        np.matmul(kernel_qk, zcv, out=_split_heads(block, heads))
+        np.matmul(block, w_o, out=result[start:stop])
+        del kernel_qk, block  # before the next block's are made
     if not record:
-        return None
+        return result, None, None
     kbs, vbs, ebs, tops = zip(*key_blocks)
     for eb, t in zip(ebs, tops):
         eb *= np.exp(t - top)  # each block's exponentials, taken against the final row max
@@ -253,4 +265,4 @@ def _nystrom_heads(xv, w_q, w_k, w_v, m, r, iters, record, out):
         gq[:, :r] += gq_r
         return gq, gk, gv
 
-    return vjp
+    return result, merged, vjp

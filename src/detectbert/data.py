@@ -60,7 +60,7 @@ def write_bag(bag: Bag, path):
     with open(path, "wb") as f:
         f.write(BAG_MAGIC)
         f.write(struct.pack("<III", BAG_VERSION, n, d))
-        f.write(np.ascontiguousarray(bag.embeddings, dtype="<f4").tobytes())
+        f.write(np.ascontiguousarray(bag.embeddings, dtype="<f4"))
 
 
 def _read_header(f, path) -> tuple[int, int]:
@@ -275,9 +275,10 @@ def synth_bag(config: SynthConfig, index: int):
     size = int(rng.integers(config.bag_size_min, config.bag_size_max + 1))
     label = 1 if rng.random() < config.positive_fraction else 0
     latent = rng.standard_normal(config.d)
-    noise = rng.standard_normal((size, config.d))
+    emb = rng.standard_normal((size, config.d))  # the noise, scaled and shifted in place
     c = config.correlation_strength
-    emb = math.sqrt(1.0 - c * c) * noise + c * latent
+    emb *= math.sqrt(1.0 - c * c)
+    emb += c * latent
     witness_count = 0
     if label == 1:
         mask = rng.random(size) < config.witness_rate
@@ -286,7 +287,7 @@ def synth_bag(config: SynthConfig, index: int):
         emb[mask] += config.signal_shift * signal_direction(config)
         witness_count = int(mask.sum())
     # round-trip through the storage precision so in-memory bags match files
-    emb = emb.astype(np.float32).astype(np.float64)
+    emb[...] = emb.astype(np.float32)
     bag = Bag(app_id=synth_app_id(index), label=label, date=synth_date(index), embeddings=emb)
     return bag, witness_count
 

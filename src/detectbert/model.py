@@ -205,7 +205,9 @@ def forward(bag: Bag, params: ModelParams) -> Tensor:
     order.  Each block applies pre-norm multi-head Nystrom attention with a
     residual connection, and the final logit reads the category row only,
     so the last block computes only that row (its keys, values and
-    landmarks still use every row).
+    landmarks still use every row).  Without a graph, a block's normed
+    input is freed when its attention node returns, and the node's output
+    once the residual sum is made, so neither lives into the next block.
     """
     cfg = params.config
     if bag.dim != cfg.d:
@@ -213,13 +215,18 @@ def forward(bag: Bag, params: ModelParams) -> Tensor:
     t = params.tensors
     x = nm.concat_rows([t["category_vector"], Tensor(bag.embeddings)])
     for i in range(cfg.num_blocks):
-        normed = nm.layer_norm(x, t[f"block{i}.ln_gamma"], t[f"block{i}.ln_beta"], cfg.ln_eps)
         weights = tuple(t[f"block{i}.{w}"] for w in ATTENTION_WEIGHTS)
         last = i == cfg.num_blocks - 1
-        # one expression, so the attention output is freed before the next block runs
+        # one expression, so the normed input and the attention output are freed
+        # before the next block runs
         x = nm.add(
             multi_head_nystrom(
-                normed, weights, cfg.heads, cfg.landmarks, cfg.pinv_iters, 1 if last else None
+                nm.layer_norm(x, t[f"block{i}.ln_gamma"], t[f"block{i}.ln_beta"], cfg.ln_eps),
+                weights,
+                cfg.heads,
+                cfg.landmarks,
+                cfg.pinv_iters,
+                1 if last else None,
             ),
             nm.slice_rows(x, 0, 1) if last else x,
         )

@@ -393,7 +393,9 @@ def pinv_iterate(a: np.ndarray, iters: int, trail: list | None = None) -> np.nda
 
     A ``trail`` list receives each step's ``(Z, aZ, t3, p)``, where
     t3 = 15 I - aZ (7 I - aZ) and p = 13 I - aZ t3, for :func:`pinv_vjp`;
-    it does not keep 7 I - aZ, which the vjp recomputes from aZ.
+    it does not keep 7 I - aZ, which the vjp recomputes from aZ.  With no
+    trail the same loop reuses its step buffers, so it makes Z0 and five
+    more arrays of ``a``'s shape, whatever ``iters`` is.
     """
     if iters < 1:
         raise ValueError(f"iterative_pinv: iters must be >= 1, got {iters}")
@@ -406,19 +408,24 @@ def pinv_iterate(a: np.ndarray, iters: int, trail: list | None = None) -> np.nda
     eye7 = 7.0 * np.eye(n)
     eye15 = eye7 + 8.0 * np.eye(n)
     eye13 = eye7 + 6.0 * np.eye(n)
-    z = mT(a) / s[..., None, None]
+    z = mT(a) / s[..., None, None]  # in a's transposed layout, which the first step's products see
+    spare = []  # C-contiguous buffers of a's shape that no trail holds
     for _ in range(iters):
-        y = a @ z
-        t1 = eye7 - y
-        t3 = y @ t1
+        y, t1, t3, p = (spare.pop() if spare else np.empty(a.shape) for _ in range(4))
+        np.matmul(a, z, out=y)
+        np.subtract(eye7, y, out=t1)
+        np.matmul(y, t1, out=t3)
         np.subtract(eye15, t3, out=t3)
-        p = y @ t3
+        np.matmul(y, t3, out=p)
         np.subtract(eye13, p, out=p)
+        np.matmul(z, p, out=t1)  # 7I - aZ is spent: its buffer takes the next Z
+        t1 *= 0.25
         if trail is not None:
             trail.append((z, y, t3, p))
-        del y, t1, t3  # y and t3 live on if the trail holds them
-        z = z @ p
-        z *= 0.25
+        else:
+            # Z0 is not reused: as the out of a product its layout would change the bits
+            spare += [y, t3, p, z] if z.flags.c_contiguous else [y, t3, p]
+        z = t1
     return z
 
 
@@ -430,19 +437,23 @@ def pinv_vjp(a: np.ndarray, trail: list, g: np.ndarray) -> np.ndarray:
     """
     gz = g
     ga = np.zeros(a.shape)
-    eye7 = 7.0 * np.eye(a.shape[-1])
+    eye7 = np.broadcast_to(7.0 * np.eye(a.shape[-1]), a.shape).copy()
+    t1, gp, gt2, gy, prod = (np.empty(a.shape) for _ in range(5))
     for z_t, y, t3, p in reversed(trail):
-        t1 = eye7 - y
-        gp = 0.25 * (mT(z_t) @ gz)
-        gz_t = 0.25 * (gz @ mT(p))
-        # p = 13I - y @ t3, t3 = 15I - y @ t1, t1 = 7I - y
-        gt4 = -gp
-        gy = gt4 @ mT(t3)
-        gt2 = -(mT(y) @ gt4)
-        gy += gt2 @ mT(t1)
-        gy -= mT(y) @ gt2
-        ga += gy @ mT(z_t)
-        gz = gz_t + mT(a) @ gy
+        np.subtract(eye7, y, out=t1)
+        # p = 13I - y @ t3, t3 = 15I - y @ t1, t1 = 7I - y; the signs and the
+        # 1/4 are folded into the products, which is exact
+        np.matmul(mT(z_t), gz, out=gp)
+        gp *= 0.25  # minus the gradient of y @ t3
+        gz_t = gz @ mT(p)
+        gz_t *= 0.25
+        np.matmul(mT(y), gp, out=gt2)  # the gradient of y @ t1
+        np.matmul(gt2, mT(t1), out=gy)
+        gy -= np.matmul(gp, mT(t3), out=prod)
+        gy -= np.matmul(mT(y), gt2, out=prod)
+        ga += np.matmul(gy, mT(z_t), out=prod)
+        gz_t += np.matmul(mT(a), gy, out=prod)
+        gz = gz_t
     # z0 = a^T / (s1 * s2) with s1, s2 the max abs column / row sums
     absa = np.abs(a)
     colsums, rowsums = absa.sum(axis=-2), absa.sum(axis=-1)

@@ -274,10 +274,17 @@ class TestFusedNode:
     def test_no_grad_call_gives_the_recorded_bits(self):
         rng = np.random.default_rng(13)
         spans = 3 * BLOCK_ROWS + 5  # three full row blocks and a partial one
-        cases = ((6, 8, 6, 1), (40, 5, 6, 1), (spans, 16, 24, 1), (spans, 16, 24, None))
-        for n, landmarks, iters, rows in cases:
-            x = Tensor(rng.standard_normal((n, 8)), requires_grad=True)
-            weights = [Tensor(0.5 * rng.standard_normal((8, 8)), requires_grad=True) for _ in range(4)]
+        cases = (
+            (6, 8, 8, 6, 1),
+            (40, 8, 5, 6, 1),
+            (spans, 8, 16, 24, 1),
+            (spans, 8, 16, 24, None),
+            # two query blocks, each projected by w_o on its own
+            (spans, 64, 16, 6, BLOCK_ROWS + 9),
+        )
+        for n, d, landmarks, iters, rows in cases:
+            x = Tensor(rng.standard_normal((n, d)), requires_grad=True)
+            weights = [Tensor(0.5 * rng.standard_normal((d, d)), requires_grad=True) for _ in range(4)]
             recorded = multi_head_nystrom(x, weights, 4, landmarks, iters, rows=rows)
             assert recorded.requires_grad
             with nm.no_grad():

@@ -238,6 +238,17 @@ class TestSyntheticGenerator:
         regen, _ = synth_bag(config, 0)
         np.testing.assert_array_equal(bags[0].embeddings, regen.embeddings)
 
+    def test_a_long_bag_is_made_and_written_in_place(self, tmp_path, allocates_under):
+        """synth_bag holds its float64 bag and one float32 copy of it, and write_bag
+        only the float32 copy: under 2 and 0.75 bag-sized float64 arrays."""
+        n, d = 1000, 256
+        config = SynthConfig(num_bags=1, d=d, bag_size_min=n, bag_size_max=n, seed=4)
+        synth_bag(config, 0)  # one-time allocations happen here
+        with allocates_under(2 * n * d * 8):
+            bag, _ = synth_bag(config, 0)
+        with allocates_under(0.75 * n * d * 8):
+            write_bag(bag, tmp_path / "b.dbmb")
+
     def test_invalid_witness_rate(self):
         with pytest.raises(ValueError):
             SynthConfig(witness_rate=0.0)

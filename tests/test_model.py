@@ -189,12 +189,14 @@ class TestPredict:
 
     def test_long_bag_holds_a_few_copies_of_itself(self, allocates_under):
         """At the infer-large shape, predict's transient is the sequence, its normed copy,
-        the attention output and a few row blocks: under 5 bag-sized arrays."""
+        the attention output and a few row blocks: under 4.45 bag-sized arrays (4.55
+        when the node also held its whole heads output and the next block's layer norm
+        ran beside the previous one's)."""
         n, d = 1000, 256
         bag = make_bag(np.random.default_rng(9), n=n, d=d)
         params = init_params(ModelConfig(d=d, heads=8, landmarks=64, pinv_iters=24), seed=9)
         predict(bag, params)  # one-time allocations happen here
-        with allocates_under(5 * n * d * 8):
+        with allocates_under(4.45 * n * d * 8):
             predict(bag, params)
 
 

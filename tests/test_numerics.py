@@ -270,6 +270,16 @@ class TestPinvTrail:
         five = [(z, y, 7.0 * np.eye(m) - y, t3, p) for z, y, t3, p in trail]
         assert (nm.pinv_vjp(a, trail, g) == reference_pinv_vjp(a, five, g)).all()
 
+    @pytest.mark.parametrize("heads, m, iters", [(4, 32, 6), (3, 17, 24), (8, 64, 24), (2, 1, 5)])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_no_trail_gives_the_trailed_bits(self, heads, m, iters, seed):
+        """Without a trail the loop reuses its step buffers, but never Z0's,
+        whose transposed layout would change the products' bits."""
+        rng = np.random.default_rng(seed)
+        a = softmax_np(rng.standard_normal((heads * m, m))).reshape(heads, m, m)
+        trailed = nm.pinv_iterate(a, iters, [])
+        assert np.array_equal(nm.pinv_iterate(a, iters), trailed)
+
 
 class TestBackwardRules:
     """Central finite differences (step 1e-5) vs analytic gradients for
