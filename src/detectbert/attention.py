@@ -7,12 +7,13 @@ landmark count.  With as many landmarks as rows the two coincide up to
 the pseudo-inverse tolerance, which is the basis of the oracle tests.
 Both work on one head's 2-D tensors.  ``multi_head_nystrom``, the layer
 the model runs, is one fused node over all heads that the tests check
-against the per-head composition of these two.  Past the exact regime it
-goes through the sequence in blocks of ``BLOCK_ROWS`` rows: the softmax
-of the landmark-key scores times V is summed over key blocks with a
-running row max, and the queries are projected, attended and projected
-out one block at a time, so it holds no heads x n x landmarks kernel and
-no whole Q, K, V or heads output unless it records a graph.
+against the per-head composition of these two.  It goes through the
+sequence in blocks of ``BLOCK_ROWS`` rows: the softmax of the
+landmark-key scores times V is summed over key blocks with a running row
+max, and the queries are projected, attended and projected out one block
+at a time, so it holds no heads x n x landmarks kernel and no whole Q,
+K, V or heads output unless it records a graph.  In the exact regime it
+is the same node with K and V in place of the key landmarks and Z (C V).
 """
 
 from __future__ import annotations
@@ -76,23 +77,23 @@ def multi_head_nystrom(
     is written straight into its columns of a ``(rows, d)`` array that
     ``w_o`` then projects, and the node's backward rule is hand-written.
 
-    The landmark count is clamped to the sequence length.  When it reaches
-    the sequence length (the exact regime) every landmark is a single row,
-    the Nystrom product is exact softmax attention, and the node computes
-    that directly, with no pseudo-inverse.  Otherwise it runs
+    The landmark count is clamped to the sequence length.  The node runs
     :func:`nystrom_attention`'s math, with one pseudo-inverse loop for all
     heads, over blocks of ``BLOCK_ROWS`` rows: the landmarks are projected
     from segment means of ``x``, the keys and values are projected and
-    summed one block at a time, and so are the queries.  Each query
-    block's heads output is projected by ``w_o`` straight into its rows of
-    the node's one ``(rows, d)`` result, made after the key loop, so no
-    other array of the sequence's length is held beyond ``x``.  ``rows``
-    limits the output to the first ``rows`` query rows (default: all);
-    keys, values and both landmark sets still use every row.  A recorded
-    call runs the same arithmetic and also keeps the blocks its backward
-    rule needs, the whole heads output among them, so it gives the bits of
-    a call with no graph.  The tests check the node against the per-head
-    composition of :func:`nystrom_attention` / :func:`exact_attention`.
+    summed one block at a time, and so are the queries.  Each query block's
+    heads output is projected by ``w_o`` straight into its rows of the
+    node's one ``(rows, d)`` result, made after the key loop, so no other
+    array of the sequence's length is held beyond ``x``.  ``rows`` limits
+    the output to the first ``rows`` query rows (default: all); keys,
+    values and both landmark sets still use every row.  At as many
+    landmarks as rows (the exact regime) Z (C V) = V, the product is exact
+    softmax attention, and the same query loop runs with K and V in place
+    of the key landmarks and Z (C V).  A recorded call runs the same
+    arithmetic and also keeps the blocks its backward rule needs, the whole
+    heads output among them, so it gives the bits of a call with no graph.
+    The tests check the node against the per-head composition of
+    :func:`nystrom_attention` / :func:`exact_attention`.
     """
     x = nm.as_tensor(x)
     n, d = x.shape
@@ -111,12 +112,7 @@ def multi_head_nystrom(
     xv = x.value
     w_q, w_k, w_v, w_o = (w.value for w in weights)
     m = min(landmarks, n)
-    if m == n:
-        merged = np.empty((r, d))
-        heads_vjp = _exact_heads(xv, w_q, w_k, w_v, r, record, _split_heads(merged, heads))
-        result = merged @ w_o
-    else:
-        result, merged, heads_vjp = _nystrom_heads(xv, w_q, w_k, w_v, w_o, m, r, iters, record, heads)
+    result, merged, heads_vjp = _nystrom_heads(xv, w_q, w_k, w_v, w_o, m, r, iters, record, heads)
 
     def vjp(g):
         gq, gk, gv = (_merge_heads(t) for t in heads_vjp(_split_heads(g @ w_o.T, heads)))
@@ -156,26 +152,6 @@ def _kernel_vjp(kernel, g, c: float):
     return gs
 
 
-def _exact_heads(xv, w_q, w_k, w_v, r, record, out):
-    """Exact attention of the first ``r`` query rows, per head, into ``out``; the heads' vjp."""
-    heads = out.shape[0]
-    q, k, v = (_split_heads(xv @ w, heads) for w in (w_q, w_k, w_v))
-    c = 1.0 / math.sqrt(q.shape[-1])
-    q_r = q[:, :r]
-    kernel = _kernel(q_r, k, c)
-    np.matmul(kernel, v, out=out)
-    if not record:
-        return None
-
-    def vjp(g):
-        gs = _kernel_vjp(kernel, g @ mT(v), c)
-        gq = np.zeros(q.shape)
-        gq[:, :r] = gs @ k
-        return gq, mT(gs) @ q_r, mT(kernel) @ g
-
-    return vjp
-
-
 def _nystrom_heads(xv, w_q, w_k, w_v, w_o, m, r, iters, record, heads):
     """Nystrom attention of the first ``r`` query rows, projected by ``w_o``.
 
@@ -186,43 +162,49 @@ def _nystrom_heads(xv, w_q, w_k, w_v, w_o, m, r, iters, record, heads):
     A is formed one block of query rows at a time; each block's heads
     output is projected straight into its rows of the result, so without
     recording the result is the only array of the sequence's length made.
+    At ``m == n`` K and V, held whole, take the places of the key landmarks
+    and Z (C V), which they equal there.
     A recorded call keeps each block and the whole of ``merged``, and its
     vjp works on the blocks joined.
     """
     n, d = xv.shape
-    bounds = np.array(nm.segment_bounds(n, m))
-    x_land = nm.segment_mean_rows(xv, bounds)
-    q_land = _split_heads(x_land @ w_q, heads)
-    k_land = _split_heads(x_land @ w_k, heads)
-    del x_land
-    c = 1.0 / math.sqrt(q_land.shape[-1])
-    kernel_ll = _kernel(q_land, k_land, c)
-    trail = [] if record else None
-    z = nm.pinv_iterate(kernel_ll, iters, trail)
-    top = np.full(q_land.shape[:-1] + (1,), -np.inf)  # running max of each row of C's scores
-    total = np.zeros(top.shape)
-    cv = np.zeros(q_land.shape)
-    key_blocks = []
-    for start in range(0, n, BLOCK_ROWS):
-        xb = xv[start:start + BLOCK_ROWS]
-        kb = _split_heads(xb @ w_k, heads)
-        vb = _split_heads(xb @ w_v, heads)
-        eb = q_land @ mT(kb)
-        eb *= c
-        new_top = np.maximum(top, eb.max(axis=-1, keepdims=True))
-        eb -= new_top
-        np.exp(eb, out=eb)
-        shrink = np.exp(top - new_top)
-        total *= shrink
-        total += eb.sum(axis=-1, keepdims=True)
-        cv *= shrink
-        cv += eb @ vb
-        top = new_top
-        if record:
-            key_blocks.append((kb, vb, eb, new_top))
-        del kb, vb, eb  # before the next block's are made
-    cv /= total
-    zcv = z @ cv
+    c = 1.0 / math.sqrt(d // heads)
+    if m == n:  # every landmark is one row, so the key landmarks are K and Z (C V) is V
+        k_land = _split_heads(xv @ w_k, heads)
+        zcv = _split_heads(xv @ w_v, heads)
+    else:
+        bounds = np.array(nm.segment_bounds(n, m))
+        x_land = nm.segment_mean_rows(xv, bounds)
+        q_land = _split_heads(x_land @ w_q, heads)
+        k_land = _split_heads(x_land @ w_k, heads)
+        del x_land
+        kernel_ll = _kernel(q_land, k_land, c)
+        trail = [] if record else None
+        z = nm.pinv_iterate(kernel_ll, iters, trail)
+        top = np.full(q_land.shape[:-1] + (1,), -np.inf)  # running max of each row of C's scores
+        total = np.zeros(top.shape)
+        cv = np.zeros(q_land.shape)
+        key_blocks = []
+        for start in range(0, n, BLOCK_ROWS):
+            xb = xv[start:start + BLOCK_ROWS]
+            kb = _split_heads(xb @ w_k, heads)
+            vb = _split_heads(xb @ w_v, heads)
+            eb = q_land @ mT(kb)
+            eb *= c
+            new_top = np.maximum(top, eb.max(axis=-1, keepdims=True))
+            eb -= new_top
+            np.exp(eb, out=eb)
+            shrink = np.exp(top - new_top)
+            total *= shrink
+            total += eb.sum(axis=-1, keepdims=True)
+            cv *= shrink
+            cv += eb @ vb
+            top = new_top
+            if record:
+                key_blocks.append((kb, vb, eb, new_top))
+            del kb, vb, eb  # before the next block's are made
+        cv /= total
+        zcv = z @ cv
     result = np.empty((r, d))
     merged = np.empty((r, d)) if record else None  # for the vjp's merged.T @ g
     query_blocks = []
@@ -240,18 +222,21 @@ def _nystrom_heads(xv, w_q, w_k, w_v, w_o, m, r, iters, record, heads):
         del kernel_qk, block  # before the next block's are made
     if not record:
         return result, None, None
-    kbs, vbs, ebs, tops = zip(*key_blocks)
-    for eb, t in zip(ebs, tops):
-        eb *= np.exp(t - top)  # each block's exponentials, taken against the final row max
-    k, v, kernel_lk = _joined(kbs, 1), _joined(vbs, 1), _joined(ebs, -1)
-    kernel_lk /= total
     q_r, kernel_qk = (_joined(parts, 1) for parts in zip(*query_blocks))
+    if m < n:
+        kbs, vbs, ebs, tops = zip(*key_blocks)
+        for eb, t in zip(ebs, tops):
+            eb *= np.exp(t - top)  # each block's exponentials, taken against the final row max
+        k, v, kernel_lk = _joined(kbs, 1), _joined(vbs, 1), _joined(ebs, -1)
+        kernel_lk /= total
 
     def vjp(g):
         g_zcv = mT(kernel_qk) @ g
         gs = _kernel_vjp(kernel_qk, g @ mT(zcv), c)
         gq_r = gs @ k_land
         gk_land = mT(gs) @ q_r
+        if m == n:  # the gradients of Q (zero past row r), K and V
+            return np.pad(gq_r, ((0, 0), (0, n - r), (0, 0))), gk_land, g_zcv
         g_cv = mT(z) @ g_zcv
         gs = _kernel_vjp(kernel_ll, nm.pinv_vjp(kernel_ll, trail, g_zcv @ mT(cv)), c)
         gq_land = gs @ k_land

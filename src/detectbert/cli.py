@@ -127,6 +127,14 @@ def resolve_settings(defaults: dict, args: argparse.Namespace) -> dict:
     return resolved
 
 
+def _train_settings(args, **defaults) -> dict:
+    """The training settings (see :func:`resolve_settings`), with a config file's model checked."""
+    settings = resolve_settings({**TRAIN_DEFAULTS, **defaults}, args)
+    if settings["model"] not in MODELS:
+        raise ValueError(f"model {settings['model']!r} is not one of {', '.join(sorted(MODELS))}")
+    return settings
+
+
 def write_resolved_config(settings: dict, out_dir: Path):
     lines = [f"{k}={settings[k]}" for k in sorted(settings)]
     (out_dir / "resolved_config.txt").write_text("\n".join(lines) + "\n")
@@ -216,7 +224,7 @@ def cmd_gen_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    settings = resolve_settings(TRAIN_DEFAULTS, args)
+    settings = _train_settings(args)
     out = _out_dir(args)
     manifest = load_manifest(args.manifest)
     plan = split_shuffled(manifest, settings["seed"], settings["repetition"])
@@ -263,7 +271,9 @@ def _run_one_protocol_rep(manifest, plan, settings):
 
 
 def cmd_protocol_shuffled(args) -> int:
-    settings = resolve_settings({**TRAIN_DEFAULTS, "repetitions": 10}, args)
+    settings = _train_settings(args, repetitions=10)
+    if settings["repetitions"] < 1:
+        raise ValueError(f"repetitions must be >= 1, got {settings['repetitions']}")
     out = _out_dir(args)
     manifest = load_manifest(args.manifest)
     all_metrics = []
@@ -285,7 +295,7 @@ def cmd_protocol_shuffled(args) -> int:
 
 
 def cmd_protocol_temporal(args) -> int:
-    settings = resolve_settings(TRAIN_DEFAULTS, args)
+    settings = _train_settings(args)
     out = _out_dir(args)
     manifest = load_manifest(args.manifest)
     plan = split_temporal(manifest)
@@ -304,7 +314,7 @@ def cmd_protocol_temporal(args) -> int:
 
 
 def cmd_compare_baselines(args) -> int:
-    settings = resolve_settings(TRAIN_DEFAULTS, args)
+    settings = _train_settings(args)
     out = _out_dir(args)
     manifest = load_manifest(args.manifest)
     plan = split_shuffled(manifest, settings["seed"], settings["repetition"])

@@ -385,6 +385,11 @@ def segment_mean_rows_vjp(g: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     return np.repeat(g / sizes[:, None], sizes, axis=-2)
 
 
+def _eye_stack(shape, scale: float) -> np.ndarray:
+    """``scale`` I as a full stack of ``shape`` (..., m, m): subtracting a 2-D identity is slower."""
+    return np.broadcast_to(scale * np.eye(shape[-1]), shape).copy()
+
+
 def pinv_iterate(a: np.ndarray, iters: int, trail: list | None = None) -> np.ndarray:
     """Pseudo-inverses of a stack of square matrices ``(..., m, m)``.
 
@@ -394,8 +399,8 @@ def pinv_iterate(a: np.ndarray, iters: int, trail: list | None = None) -> np.nda
     A ``trail`` list receives each step's ``(Z, aZ, t3, p)``, where
     t3 = 15 I - aZ (7 I - aZ) and p = 13 I - aZ t3, for :func:`pinv_vjp`;
     it does not keep 7 I - aZ, which the vjp recomputes from aZ.  With no
-    trail the same loop reuses its step buffers, so it makes Z0 and five
-    more arrays of ``a``'s shape, whatever ``iters`` is.
+    trail the same loop reuses its step buffers, so it makes Z0, three
+    identities and five more arrays of ``a``'s shape, whatever ``iters`` is.
     """
     if iters < 1:
         raise ValueError(f"iterative_pinv: iters must be >= 1, got {iters}")
@@ -404,10 +409,7 @@ def pinv_iterate(a: np.ndarray, iters: int, trail: list | None = None) -> np.nda
     if np.any(s == 0.0):
         raise ValueError("iterative_pinv: zero matrix has no scaled initialization")
     del absa
-    n = a.shape[-1]
-    eye7 = 7.0 * np.eye(n)
-    eye15 = eye7 + 8.0 * np.eye(n)
-    eye13 = eye7 + 6.0 * np.eye(n)
+    eye7, eye15, eye13 = (_eye_stack(a.shape, k) for k in (7.0, 15.0, 13.0))
     z = mT(a) / s[..., None, None]  # in a's transposed layout, which the first step's products see
     spare = []  # C-contiguous buffers of a's shape that no trail holds
     for _ in range(iters):
@@ -437,7 +439,7 @@ def pinv_vjp(a: np.ndarray, trail: list, g: np.ndarray) -> np.ndarray:
     """
     gz = g
     ga = np.zeros(a.shape)
-    eye7 = np.broadcast_to(7.0 * np.eye(a.shape[-1]), a.shape).copy()
+    eye7 = _eye_stack(a.shape, 7.0)
     t1, gp, gt2, gy, prod = (np.empty(a.shape) for _ in range(5))
     for z_t, y, t3, p in reversed(trail):
         np.subtract(eye7, y, out=t1)

@@ -40,8 +40,8 @@ class TrainConfig:
     threshold: float = 0.5
 
     def __post_init__(self):
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be nonnegative")
+        if not 0 <= self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.lookahead_k < 1:
@@ -366,15 +366,16 @@ def evaluate(params, bags: Sequence[Bag], threshold: float = 0.5):
 
     The bags are scored in forked worker processes, one per usable CPU (no
     more than there are bags), each reading and scoring one bag at a time
-    and sending back only its record.  Records come back in bag order, and
-    a failure is raised as the first failing bag's, as a serial loop would
-    raise it; a worker that dies raises ``BrokenProcessPool`` (a
-    ``RuntimeError``).  With one worker, where ``os.sched_getaffinity``
-    (and with it ``fork``) is missing, or in a daemonic process (such as a
-    ``multiprocessing.Pool`` worker, which may not start children), the
-    bags are scored in this process.
-    Workers inherit the parent's BLAS configuration, so the scores are the
-    same bits at any worker count.
+    and sending back only its record.  A pool task is a run of contiguous
+    bags, about 16 tasks per worker, so small bags do not each pay a task's
+    round trip.  Records come back in bag order, and a failure is raised as
+    the first failing bag's, as a serial loop would raise it; a worker that
+    dies raises ``BrokenProcessPool`` (a ``RuntimeError``).  With one
+    worker, where ``os.sched_getaffinity`` (and with it ``fork``) is
+    missing, or in a daemonic process (such as a ``multiprocessing.Pool``
+    worker, which may not start children), the bags are scored in this
+    process.  Workers inherit the parent's BLAS configuration, so the
+    scores are the same bits at any worker count.
 
     Returns (Metrics, per-app records ordered by app id).
     """
@@ -395,7 +396,8 @@ def evaluate(params, bags: Sequence[Bag], threshold: float = 0.5):
             workers, mp_context=multiprocessing.get_context("fork"),
             initializer=_init_worker, initargs=args,
         ) as pool:
-            per_app = list(pool.map(_score_in_worker, range(len(bags))))
+            chunk = math.ceil(len(bags) / (16 * workers))
+            per_app = list(pool.map(_score_in_worker, range(len(bags)), chunksize=chunk))
     else:
         per_app = [score_app(*args, i) for i in range(len(bags))]
     per_app.sort(key=lambda r: r["app_id"])

@@ -226,7 +226,7 @@ def value_and_grads(build, leaves, loss_w):
 class TestFusedNode:
     """The fused node against :func:`composed_multi_head`."""
 
-    @pytest.mark.parametrize("case", range(42))
+    @pytest.mark.parametrize("case", range(44))
     def test_matches_composed_path(self, case):
         rng = np.random.default_rng(100 + case)
         heads = int(rng.choice([1, 2, 4]))
@@ -238,9 +238,12 @@ class TestFusedNode:
             n, heads, d = (1, 2, 4, 6)[case], 1, 3
         rows = 1 if case % 3 == 0 else None
         iters = int(rng.choice([1, 6, 24]))
-        if case >= 40:  # keys span three row blocks, and so do the queries at rows=None
+        if case in (40, 41):  # keys span three row blocks, and so do the queries at rows=None
             n, heads, d, landmarks, iters = 2 * BLOCK_ROWS + 3, 2, 8, 8, 6
             rows = (None, 1)[case - 40]
+        if case >= 42:  # the exact regime with two query blocks at rows=None
+            n, heads, d, iters = BLOCK_ROWS + 7, 2, 8, 6
+            landmarks, rows = n + 2, (None, 1)[case - 42]
         x = Tensor(rng.standard_normal((n, d)), requires_grad=True)
         weights = [Tensor(0.5 * rng.standard_normal((d, d)), requires_grad=True) for _ in range(4)]
         loss_w = rng.standard_normal((rows or n, d))
@@ -281,6 +284,8 @@ class TestFusedNode:
             (spans, 8, 16, 24, None),
             # two query blocks, each projected by w_o on its own
             (spans, 64, 16, 6, BLOCK_ROWS + 9),
+            # the exact regime's two query blocks
+            (BLOCK_ROWS + 7, 8, BLOCK_ROWS + 9, 6, None),
         )
         for n, d, landmarks, iters, rows in cases:
             x = Tensor(rng.standard_normal((n, d)), requires_grad=True)

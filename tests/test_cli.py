@@ -311,6 +311,35 @@ class TestRejectedInputs:
         assert code == 1
         assert f"{cfg}:2: epochs='abc' is not a valid int" in single_error_line(capsys)
 
+    def test_config_file_model_is_checked_as_the_flag_is(self, dataset, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("model=bogus\n")
+        code = run(["train", "--manifest", dataset / "manifest.csv", "--out", tmp_path / "r",
+                    "--config", cfg] + FAST)
+        assert code == 1
+        line = single_error_line(capsys)
+        assert "'bogus'" in line and "baseline-average" in line and "detectbert" in line
+
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_no_repetitions_is_an_error(self, dataset, tmp_path, capsys, source, count):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"repetitions={count}\n")
+        given = ["--repetitions", count] if source == "flag" else ["--config", cfg]
+        code = run(["protocol-shuffled", "--manifest", dataset / "manifest.csv",
+                    "--out", tmp_path / "p", "--model", "baseline-average"] + FAST + given)
+        assert code == 1
+        assert f"repetitions must be >= 1, got {count}" in single_error_line(capsys)
+        assert not (tmp_path / "p" / "report.txt").exists()
+
+    @pytest.mark.parametrize("rate", ["nan", "inf"])
+    def test_non_finite_learning_rate_is_an_error(self, dataset, tmp_path, capsys, rate):
+        code = run(["train", "--manifest", dataset / "manifest.csv", "--out", tmp_path / "r",
+                    "--learning-rate", rate] + FAST)
+        assert code == 1
+        assert "learning_rate must be finite and >= 0" in single_error_line(capsys)
+        assert not (tmp_path / "r" / "history.csv").exists()
+
     def test_unknown_split_role_names_file_and_line(self, dataset, tmp_path, capsys):
         run_dir, split = split_with_line(
             dataset, tmp_path, lambda line: line.rsplit(",", 1)[0] + ",testing"
