@@ -6,14 +6,9 @@ iterative pseudo-inverse, which is linear in sequence length for a fixed
 landmark count.  With as many landmarks as rows the two coincide up to
 the pseudo-inverse tolerance, which is the basis of the oracle tests.
 Both work on one head's 2-D tensors.  ``multi_head_nystrom``, the layer
-the model runs, is one fused node over all heads that the tests check
-against the per-head composition of these two.  It goes through the
-sequence in blocks of ``BLOCK_ROWS`` rows: the softmax of the
-landmark-key scores times V is summed over key blocks with a running row
-max, and the queries are projected, attended and projected out one block
-at a time, so it holds no heads x n x landmarks kernel and no whole Q,
-K, V or heads output unless it records a graph.  In the exact regime it
-is the same node with K and V in place of the key landmarks and Z (C V).
+the model runs, is one function: a fused node over all heads, in blocks
+of ``BLOCK_ROWS`` rows, with one hand-written backward rule, that the
+tests check against the per-head composition of these two.
 """
 
 from __future__ import annotations
@@ -73,27 +68,27 @@ def multi_head_nystrom(
 
     ``weights`` are the d x d projections ``(w_q, w_k, w_v, w_o)`` for an
     input of width d, and ``heads`` must divide d.  Every head runs in the
-    same ``(heads, rows, d / heads)`` array operations, each head's output
-    is written straight into its columns of a ``(rows, d)`` array that
-    ``w_o`` then projects, and the node's backward rule is hand-written.
+    same ``(heads, rows, d / heads)`` array operations, with one
+    pseudo-inverse loop for all heads, and the backward rule is
+    hand-written.  ``rows`` limits the output to the first ``rows`` query
+    rows (default: all); keys, values and both landmark sets still use
+    every row.  The landmark count is clamped to the sequence length.
 
-    The landmark count is clamped to the sequence length.  The node runs
-    :func:`nystrom_attention`'s math, with one pseudo-inverse loop for all
-    heads, over blocks of ``BLOCK_ROWS`` rows: the landmarks are projected
-    from segment means of ``x``, the keys and values are projected and
-    summed one block at a time, and so are the queries.  Each query block's
-    heads output is projected by ``w_o`` straight into its rows of the
-    node's one ``(rows, d)`` result, made after the key loop, so no other
-    array of the sequence's length is held beyond ``x``.  ``rows`` limits
-    the output to the first ``rows`` query rows (default: all); keys,
-    values and both landmark sets still use every row.  At as many
-    landmarks as rows (the exact regime) Z (C V) = V, the product is exact
-    softmax attention, and the same query loop runs with K and V in place
-    of the key landmarks and Z (C V).  A recorded call runs the same
-    arithmetic and also keeps the blocks its backward rule needs, the whole
-    heads output among them, so it gives the bits of a call with no graph.
-    The tests check the node against the per-head composition of
-    :func:`nystrom_attention` / :func:`exact_attention`.
+    The node runs :func:`nystrom_attention`'s math joined as A (Z (C V)),
+    so the rows x m product A Z is never formed, over blocks of
+    ``BLOCK_ROWS`` rows.  The landmarks are projected from segment means of
+    ``x``; C V is summed over key blocks with a running row max and row
+    sum; each query block is projected, attended and projected by ``w_o``
+    straight into its rows of the node's one ``(rows, d)`` result, made
+    after the key loop, so no other array of the sequence's length is held
+    beyond ``x``.  At as many landmarks as rows (the exact regime) the
+    product is exact softmax attention: K and V, held whole, take the
+    places of the key landmarks and Z (C V), which they equal there.  A
+    recorded call runs the same arithmetic and also keeps every block and
+    the whole heads output for its backward rule, which works on the blocks
+    joined, so it gives the bits of a call with no graph.  The tests check
+    the node against the per-head composition of :func:`nystrom_attention`
+    / :func:`exact_attention`.
     """
     x = nm.as_tensor(x)
     n, d = x.shape
@@ -112,62 +107,6 @@ def multi_head_nystrom(
     xv = x.value
     w_q, w_k, w_v, w_o = (w.value for w in weights)
     m = min(landmarks, n)
-    result, merged, heads_vjp = _nystrom_heads(xv, w_q, w_k, w_v, w_o, m, r, iters, record, heads)
-
-    def vjp(g):
-        gq, gk, gv = (_merge_heads(t) for t in heads_vjp(_split_heads(g @ w_o.T, heads)))
-        gx = gq @ w_q.T
-        gx += gk @ w_k.T
-        gx += gv @ w_v.T
-        return gx, xv.T @ gq, xv.T @ gk, xv.T @ gv, merged.T @ g
-
-    return nm.make_node(result, parents, vjp)
-
-
-def _split_heads(a, heads: int):
-    """An n x d array as a ``(heads, n, d / heads)`` view; head h holds the h-th block of columns."""
-    return a.reshape(a.shape[0], heads, -1).transpose(1, 0, 2)
-
-
-def _merge_heads(a):
-    return a.transpose(1, 0, 2).reshape(a.shape[1], -1)
-
-
-def _joined(parts, axis: int):
-    """``parts`` concatenated along ``axis``; a single part is returned as it is, not copied."""
-    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=axis)
-
-
-def _kernel(q, k, c: float):
-    """softmax(c * q k^T) per head, scaled and normalized in place."""
-    s = q @ mT(k)
-    s *= c
-    return nm.softmax_last(s, out=s)
-
-
-def _kernel_vjp(kernel, g, c: float):
-    """Gradient of ``q k^T`` from the gradient ``g`` of ``_kernel(q, k, c)``."""
-    gs = nm.softmax_vjp(kernel, g)
-    gs *= c
-    return gs
-
-
-def _nystrom_heads(xv, w_q, w_k, w_v, w_o, m, r, iters, record, heads):
-    """Nystrom attention of the first ``r`` query rows, projected by ``w_o``.
-
-    Returns ``(result, merged, vjp)``: the ``(r, d)`` output, the heads'
-    output before ``w_o`` (None unless recording) and the heads' vjp.
-    Joined as A (Z (C V)), so the r x m product A Z is never formed.  C V
-    is summed over blocks of keys with a running row max and row sum, and
-    A is formed one block of query rows at a time; each block's heads
-    output is projected straight into its rows of the result, so without
-    recording the result is the only array of the sequence's length made.
-    At ``m == n`` K and V, held whole, take the places of the key landmarks
-    and Z (C V), which they equal there.
-    A recorded call keeps each block and the whole of ``merged``, and its
-    vjp works on the blocks joined.
-    """
-    n, d = xv.shape
     c = 1.0 / math.sqrt(d // heads)
     if m == n:  # every landmark is one row, so the key landmarks are K and Z (C V) is V
         k_land = _split_heads(xv @ w_k, heads)
@@ -206,7 +145,7 @@ def _nystrom_heads(xv, w_q, w_k, w_v, w_o, m, r, iters, record, heads):
         cv /= total
         zcv = z @ cv
     result = np.empty((r, d))
-    merged = np.empty((r, d)) if record else None  # for the vjp's merged.T @ g
+    merged = np.empty((r, d)) if record else None  # the heads output, for the vjp's merged.T @ g
     query_blocks = []
     for start in range(0, r, BLOCK_ROWS):
         stop = min(start + BLOCK_ROWS, r)
@@ -221,7 +160,7 @@ def _nystrom_heads(xv, w_q, w_k, w_v, w_o, m, r, iters, record, heads):
         np.matmul(block, w_o, out=result[start:stop])
         del kernel_qk, block  # before the next block's are made
     if not record:
-        return result, None, None
+        return Tensor(result)
     q_r, kernel_qk = (_joined(parts, 1) for parts in zip(*query_blocks))
     if m < n:
         kbs, vbs, ebs, tops = zip(*key_blocks)
@@ -231,23 +170,57 @@ def _nystrom_heads(xv, w_q, w_k, w_v, w_o, m, r, iters, record, heads):
         kernel_lk /= total
 
     def vjp(g):
-        g_zcv = mT(kernel_qk) @ g
-        gs = _kernel_vjp(kernel_qk, g @ mT(zcv), c)
+        gh = _split_heads(g @ w_o.T, heads)
+        g_zcv = mT(kernel_qk) @ gh
+        gs = _kernel_vjp(kernel_qk, gh @ mT(zcv), c)
         gq_r = gs @ k_land
         gk_land = mT(gs) @ q_r
         if m == n:  # the gradients of Q (zero past row r), K and V
-            return np.pad(gq_r, ((0, 0), (0, n - r), (0, 0))), gk_land, g_zcv
-        g_cv = mT(z) @ g_zcv
-        gs = _kernel_vjp(kernel_ll, nm.pinv_vjp(kernel_ll, trail, g_zcv @ mT(cv)), c)
-        gq_land = gs @ k_land
-        gk_land += mT(gs) @ q_land
-        gv = mT(kernel_lk) @ g_cv
-        gs = _kernel_vjp(kernel_lk, g_cv @ mT(v), c)
-        gq_land += gs @ k
-        gk = mT(gs) @ q_land
-        gk += nm.segment_mean_rows_vjp(gk_land, bounds)
-        gq = nm.segment_mean_rows_vjp(gq_land, bounds)
-        gq[:, :r] += gq_r
-        return gq, gk, gv
+            gq, gk, gv = np.pad(gq_r, ((0, 0), (0, n - r), (0, 0))), gk_land, g_zcv
+        else:
+            g_cv = mT(z) @ g_zcv
+            gs = _kernel_vjp(kernel_ll, nm.pinv_vjp(kernel_ll, trail, g_zcv @ mT(cv)), c)
+            gq_land = gs @ k_land
+            gk_land += mT(gs) @ q_land
+            gv = mT(kernel_lk) @ g_cv
+            gs = _kernel_vjp(kernel_lk, g_cv @ mT(v), c)
+            gq_land += gs @ k
+            gk = mT(gs) @ q_land
+            gk += nm.segment_mean_rows_vjp(gk_land, bounds)
+            gq = nm.segment_mean_rows_vjp(gq_land, bounds)
+            gq[:, :r] += gq_r
+        gq, gk, gv = (_merge_heads(t) for t in (gq, gk, gv))
+        gx = gq @ w_q.T
+        gx += gk @ w_k.T
+        gx += gv @ w_v.T
+        return gx, xv.T @ gq, xv.T @ gk, xv.T @ gv, merged.T @ g
 
-    return result, merged, vjp
+    return nm.make_node(result, parents, vjp)
+
+
+def _split_heads(a, heads: int):
+    """An n x d array as a ``(heads, n, d / heads)`` view; head h holds the h-th block of columns."""
+    return a.reshape(a.shape[0], heads, -1).transpose(1, 0, 2)
+
+
+def _merge_heads(a):
+    return a.transpose(1, 0, 2).reshape(a.shape[1], -1)
+
+
+def _joined(parts, axis: int):
+    """``parts`` concatenated along ``axis``; a single part is returned as it is, not copied."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=axis)
+
+
+def _kernel(q, k, c: float):
+    """softmax(c * q k^T) per head, scaled and normalized in place."""
+    s = q @ mT(k)
+    s *= c
+    return nm.softmax_last(s, out=s)
+
+
+def _kernel_vjp(kernel, g, c: float):
+    """Gradient of ``q k^T`` from the gradient ``g`` of ``_kernel(q, k, c)``."""
+    gs = nm.softmax_vjp(kernel, g)
+    gs *= c
+    return gs

@@ -146,18 +146,33 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _train_model(settings: dict, manifest, plan):
-    """Train the ``--model`` choice on the plan's train split; returns the TrainResult.
+def _training_run(args, every_model: bool = False, **defaults):
+    """A training command's settings, manifest and trainer, all checked before it writes anything.
 
-    The split's bags stay in their files until training reads them (see
-    :func:`data.load_bags`), so a malformed bag file stops the run when it is
-    reached, before training returns.
+    ``TrainConfig`` is built here, and so is the head's ``ModelConfig``, at
+    the width of the manifest's first bag, when the run trains the head
+    (its ``--model``, or ``every_model``).  ``fit(plan, model)`` trains
+    ``model``, a ``--model`` flag, on the plan's train split and returns the
+    TrainResult.  The split's bags stay in their files until training reads
+    them (see :func:`data.load_bags`), so a malformed bag file stops the run
+    when it is reached, after ``--out`` exists.
     """
+    settings = _train_settings(args, **defaults)
     tc = _from_settings(TrainConfig, settings)
-    params = MODELS[settings["model"]](settings, bag_width(manifest[0].path))
-    return train(
-        tc, load_bags(manifest, plan.train), load_bags(manifest, plan.validation), params
-    )
+    manifest = load_manifest(args.manifest)
+    if not manifest:
+        raise ValueError(f"{args.manifest}: manifest has no records")
+    width = bag_width(manifest[0].path)
+    if every_model or settings["model"] == KIND:
+        _from_settings(ModelConfig, settings, d=width)
+
+    def fit(plan, model):
+        params = MODELS[model](settings, width)
+        return train(
+            tc, load_bags(manifest, plan.train), load_bags(manifest, plan.validation), params
+        )
+
+    return settings, manifest, fit
 
 
 def _write_history(history, path: Path):
@@ -214,8 +229,9 @@ def _read_split(path, manifest) -> SplitPlan:
 
 def cmd_gen_synth(args) -> int:
     settings = resolve_settings(_field_defaults(SynthConfig), args)
+    config = _from_settings(SynthConfig, settings)
     out = _out_dir(args)
-    manifest = gen_synthetic(_from_settings(SynthConfig, settings), out)
+    manifest = gen_synthetic(config, out)
     write_resolved_config(settings, out)
     stats = dataset_stats(manifest)
     print(f"wrote {stats['num_apps']} bags to {out}")
@@ -224,11 +240,10 @@ def cmd_gen_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    settings = _train_settings(args)
-    out = _out_dir(args)
-    manifest = load_manifest(args.manifest)
+    settings, manifest, fit = _training_run(args)
     plan = split_shuffled(manifest, settings["seed"], settings["repetition"])
-    result = _train_model(settings, manifest, plan)
+    out = _out_dir(args)
+    result = fit(plan, settings["model"])
     save_checkpoint(result.params, out / "checkpoint.dbck")
     _write_history(result.history, out / "history.csv")
     _write_split(plan, manifest, out / "split.csv")
@@ -240,16 +255,16 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    out = _out_dir(args)
     manifest = load_manifest(args.manifest)
     params = load_checkpoint(args.checkpoint)
     if args.split_file:
         indices = getattr(_read_split(args.split_file, manifest), args.subset)
     else:
         indices = range(len(manifest))
-    bags = load_bags(manifest, indices)
-    threshold = args.threshold if args.threshold is not None else TrainConfig.threshold
-    metrics, per_app = evaluate(params, bags, threshold)
+    given = {} if args.threshold is None else {"threshold": args.threshold}
+    threshold = TrainConfig(**given).threshold
+    out = _out_dir(args)
+    metrics, per_app = evaluate(params, load_bags(manifest, indices), threshold)
     (out / "scores.csv").write_text(format_per_app(per_app))
     (out / "metrics.txt").write_text(format_metrics_block(metrics))
     write_resolved_config(
@@ -265,22 +280,21 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _run_one_protocol_rep(manifest, plan, settings):
-    result = _train_model(settings, manifest, plan)
+def _run_one_protocol_rep(fit, manifest, plan, settings, model):
+    result = fit(plan, model)
     return evaluate(result.params, load_bags(manifest, plan.test), settings["threshold"])
 
 
 def cmd_protocol_shuffled(args) -> int:
-    settings = _train_settings(args, repetitions=10)
+    settings, manifest, fit = _training_run(args, repetitions=10)
     if settings["repetitions"] < 1:
         raise ValueError(f"repetitions must be >= 1, got {settings['repetitions']}")
     out = _out_dir(args)
-    manifest = load_manifest(args.manifest)
     all_metrics = []
     report = []
     for rep in range(settings["repetitions"]):
         plan = split_shuffled(manifest, settings["seed"], rep)
-        metrics, per_app = _run_one_protocol_rep(manifest, plan, settings)
+        metrics, per_app = _run_one_protocol_rep(fit, manifest, plan, settings, settings["model"])
         (out / f"rep{rep}_scores.csv").write_text(format_per_app(per_app))
         report.append(f"[repetition {rep}]\n" + format_metrics_block(metrics))
         all_metrics.append(metrics)
@@ -295,11 +309,10 @@ def cmd_protocol_shuffled(args) -> int:
 
 
 def cmd_protocol_temporal(args) -> int:
-    settings = _train_settings(args)
-    out = _out_dir(args)
-    manifest = load_manifest(args.manifest)
+    settings, manifest, fit = _training_run(args)
     plan = split_temporal(manifest)
-    metrics, per_app = _run_one_protocol_rep(manifest, plan, settings)
+    out = _out_dir(args)
+    metrics, per_app = _run_one_protocol_rep(fit, manifest, plan, settings, settings["model"])
     (out / "scores.csv").write_text(format_per_app(per_app))
     proportions = (
         f"train_fraction={plan.train_fraction:.2f}\n"
@@ -314,14 +327,13 @@ def cmd_protocol_temporal(args) -> int:
 
 
 def cmd_compare_baselines(args) -> int:
-    settings = _train_settings(args)
-    out = _out_dir(args)
-    manifest = load_manifest(args.manifest)
+    settings, manifest, fit = _training_run(args, every_model=True)
     plan = split_shuffled(manifest, settings["seed"], settings["repetition"])
+    out = _out_dir(args)
     lines = [",".join(("model",) + RATES)]
     report = []
     for flag in MODELS:
-        metrics, _ = _run_one_protocol_rep(manifest, plan, {**settings, "model": flag})
+        metrics, _ = _run_one_protocol_rep(fit, manifest, plan, settings, flag)
         lines.append(",".join([flag] + [f"{getattr(metrics, k):.2f}" for k in RATES]))
         report.append(f"[{flag}]\n" + format_metrics_block(metrics))
     (out / "comparison.csv").write_text("\n".join(lines) + "\n")

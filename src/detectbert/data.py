@@ -104,6 +104,8 @@ def read_bag(path, app_id: str = "", label: int = 0, date: dt.date | None = None
     if len(payload) != n * d * 4:
         raise BagTruncatedError(f"{path}: expected {n * d * 4} payload bytes, read {len(payload)}")
     values = np.frombuffer(payload, dtype="<f4").reshape(n, d).astype(np.float64)
+    if not np.isfinite(values).all():
+        raise BagFormatError(f"{path}: embeddings contain non-finite values")
     return Bag(app_id=app_id, label=label, date=date, embeddings=values)
 
 

@@ -90,7 +90,6 @@ class ModelConfig:
     heads: int = 8
     landmarks: int = 64
     pinv_iters: int = DEFAULT_PINV_ITERS
-    ln_eps: float = 1e-5
 
     def __post_init__(self):
         if self.d < 1:
@@ -105,8 +104,6 @@ class ModelConfig:
             raise ValueError(f"landmarks must be >= 1, got {self.landmarks}")
         if self.pinv_iters < 1:
             raise ValueError(f"pinv_iters must be >= 1, got {self.pinv_iters}")
-        if not self.ln_eps > 0:
-            raise ValueError(f"ln_eps must be positive, got {self.ln_eps}")
 
 
 @dataclass
@@ -140,7 +137,7 @@ class ModelParams:
             # constant, but written so that checkpoints stay readable by older readers
             "head_hidden": 0,
             "category_scale": "1.0",
-            "ln_eps": repr(cfg.ln_eps),
+            "ln_eps": repr(nm.LN_EPS),
         }
 
 
@@ -221,7 +218,7 @@ def forward(bag: Bag, params: ModelParams) -> Tensor:
         # before the next block runs
         x = nm.add(
             multi_head_nystrom(
-                nm.layer_norm(x, t[f"block{i}.ln_gamma"], t[f"block{i}.ln_beta"], cfg.ln_eps),
+                nm.layer_norm(x, t[f"block{i}.ln_gamma"], t[f"block{i}.ln_beta"]),
                 weights,
                 cfg.heads,
                 cfg.landmarks,
@@ -230,7 +227,7 @@ def forward(bag: Bag, params: ModelParams) -> Tensor:
             ),
             nm.slice_rows(x, 0, 1) if last else x,
         )
-    z = nm.layer_norm(x, t["final_ln_gamma"], t["final_ln_beta"], cfg.ln_eps)
+    z = nm.layer_norm(x, t["final_ln_gamma"], t["final_ln_beta"])
     return nm.add(nm.matmul(z, t["head_weights"]), t["head_bias"])
 
 
@@ -313,10 +310,14 @@ def _parse_meta(meta_bytes: bytes) -> dict:
 
 def _params_from_meta(meta: dict):
     """The head's parameter table as ``meta`` declares it, and a builder from loaded tensors."""
-    if int(meta.get("head_hidden", 0)) != 0 or float(meta.get("category_scale", 1.0)) != 1.0:
+    if (
+        int(meta.get("head_hidden", 0)) != 0
+        or float(meta.get("category_scale", 1.0)) != 1.0
+        or float(meta.get("ln_eps", nm.LN_EPS)) != nm.LN_EPS
+    ):
         raise CheckpointError(
-            "checkpoint declares a hidden head layer or a scaled category vector, "
-            "which this version does not support"
+            "checkpoint declares a hidden head layer, a scaled category vector or a "
+            f"layer-norm eps other than {nm.LN_EPS!r}, which this version does not support"
         )
     cfg = ModelConfig(
         d=int(meta["d"]),
@@ -324,7 +325,6 @@ def _params_from_meta(meta: dict):
         heads=int(meta["heads"]),
         landmarks=int(meta["landmarks"]),
         pinv_iters=int(meta["pinv_iters"]),
-        ln_eps=float(meta.get("ln_eps", ModelConfig.ln_eps)),
     )
     return param_shapes(cfg), lambda tensors: ModelParams(cfg, tensors)
 

@@ -32,6 +32,9 @@ case measured over thousands of random kernels is ~1e-6 at 24 iterations,
 while 6 iterations leave errors around 1e-2).
 """
 
+# layer_norm's eps, which the model uses and its checkpoints record
+LN_EPS = 1e-5
+
 
 class _GradMode(threading.local):
     """Whether graph recording is on, per thread: one thread leaving
@@ -283,7 +286,7 @@ def softmax_rows(m: Tensor) -> Tensor:
     return make_node(y, (m,), lambda g: (softmax_vjp(y, g),))
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = LN_EPS) -> Tensor:
     """Standardize each row (biased variance, eps inside the square root),
     then scale by ``gamma`` and shift by ``beta`` (both 1 x cols)."""
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)

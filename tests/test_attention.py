@@ -1,8 +1,13 @@
 """Exact attention oracle and Nystrom approximation tests."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from detectbert import attention
 from detectbert import numerics as nm
 from detectbert.attention import (
     BLOCK_ROWS,
@@ -223,8 +228,60 @@ def value_and_grads(build, leaves, loss_w):
     return [out.value] + [t.grad for t in leaves]
 
 
+@st.composite
+def small_block_cases(draw):
+    """(block rows, n, heads, d, landmarks, rows, iters, data seed) for tiny blocks.
+
+    n is drawn anywhere in 1-40, or next to the landmark count, or next to a
+    multiple of the block size, so it lands on m, m +- 1 and the block edges.
+    """
+    block = draw(st.integers(1, 8))
+    heads = draw(st.sampled_from([1, 2, 4]))
+    d = heads * draw(st.integers(1, 3))
+    landmarks = draw(st.integers(1, 12))
+    near = draw(st.sampled_from(["anywhere", "landmarks", "block edge"]))
+    if near == "anywhere":
+        n = draw(st.integers(1, 40))
+    elif near == "landmarks":
+        n = landmarks + draw(st.integers(-1, 1))
+    else:
+        n = block * draw(st.integers(1, 40 // block)) + draw(st.integers(-1, 1))
+    n = min(max(n, 1), 40)
+    rows = draw(st.sampled_from([1, None]))
+    iters = draw(st.sampled_from([1, 6]))
+    return block, n, heads, d, landmarks, rows, iters, draw(st.integers(0, 2**32 - 1))
+
+
 class TestFusedNode:
     """The fused node against :func:`composed_multi_head`."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(case=small_block_cases())
+    def test_small_blocks_match_composed_path(self, case):
+        block, n, heads, d, landmarks, rows, iters, seed = case
+        rng = np.random.default_rng(seed)
+        x = Tensor(rng.standard_normal((n, d)), requires_grad=True)
+        weights = [Tensor(0.5 * rng.standard_normal((d, d)), requires_grad=True) for _ in range(4)]
+        loss_w = rng.standard_normal((rows or n, d))
+        m = min(landmarks, n)
+
+        def attend(q, k, v):
+            return exact_attention(q, k, v) if m == n else nystrom_attention(q, k, v, m, iters)
+
+        def node():
+            return multi_head_nystrom(x, weights, heads, landmarks, iters, rows)
+
+        # patched in the body: a function-scoped monkeypatch fails hypothesis's health check
+        with mock.patch.object(attention, "BLOCK_ROWS", block):
+            fused = value_and_grads(node, [x] + weights, loss_w)
+            with nm.no_grad():
+                plain = node().value
+        composed = value_and_grads(
+            lambda: composed_multi_head(x, weights, heads, attend, rows), [x] + weights, loss_w
+        )
+        for name, got, want in zip(["value", "x", "w_q", "w_k", "w_v", "w_o"], fused, composed):
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), name
+        assert np.array_equal(plain, fused[0])
 
     @pytest.mark.parametrize("case", range(44))
     def test_matches_composed_path(self, case):

@@ -340,6 +340,25 @@ class TestRejectedInputs:
         assert "learning_rate must be finite and >= 0" in single_error_line(capsys)
         assert not (tmp_path / "r" / "history.csv").exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["train", "--manifest", "{data}/manifest.csv", "--learning-rate", "nan"],
+            ["train", "--manifest", "{data}/manifest.csv", "--epochs", "0",
+             "--model", "baseline-average"],
+            ["train", "--manifest", "{data}/manifest.csv", "--epochs", "1", "--heads", "3"],
+            ["gen-synth", "--witness-rate", "2"],
+            ["evaluate", "--manifest", "{data}/missing.csv", "--checkpoint", "{data}/none.dbck"],
+        ],
+        ids=["learning-rate", "epochs", "heads", "witness-rate", "missing-manifest"],
+    )
+    def test_refused_run_leaves_no_out_directory(self, dataset, tmp_path, capsys, argv):
+        out = tmp_path / "X"
+        code = run([a.format(data=dataset) for a in argv] + ["--out", out])
+        assert code == 1
+        single_error_line(capsys)
+        assert not out.exists()
+
     def test_unknown_split_role_names_file_and_line(self, dataset, tmp_path, capsys):
         run_dir, split = split_with_line(
             dataset, tmp_path, lambda line: line.rsplit(",", 1)[0] + ",testing"

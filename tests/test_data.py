@@ -104,6 +104,17 @@ class TestBagFiles:
         with pytest.raises(BagFormatError, match="trailing"):
             read_bag(path)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_names_the_file(self, tmp_path, value):
+        path = tmp_path / "b.dbmb"
+        write_bag(make_bag(np.random.default_rng(7), n=3, d=4), path)
+        raw = bytearray(path.read_bytes())
+        raw[-4:] = np.array([value], dtype="<f4").tobytes()  # the last instance's last value
+        path.write_bytes(bytes(raw))
+        with pytest.raises(BagFormatError) as raised:
+            read_bag(path, app_id="app-1")
+        assert str(raised.value) == f"{path}: embeddings contain non-finite values"
+
 
 class TestBagWidth:
     def test_width_from_the_header(self, tmp_path):

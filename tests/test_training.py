@@ -323,12 +323,12 @@ class TestTrainLoop:
     def test_non_finite_gradient_names_epoch_bag_and_parameter(self):
         """A finite loss whose gradient overflows: an all-zero model and bag put
         zero variance into the final layer norm, whose 1/sqrt(eps) then
-        multiplies the 1e300 head weights on the way back."""
-        cfg = ModelConfig(d=4, heads=2, landmarks=4, ln_eps=5e-324)
+        multiplies the 1e307 head weights on the way back."""
+        cfg = ModelConfig(d=4, heads=2, landmarks=4)
         params = init_params(cfg, seed=0)
         for name, p in params.named_parameters():
             p.value[...] = 1.0 if name.endswith("ln_gamma") else 0.0
-        params.tensors["head_weights"].value[:, 0] = [1e300, -1e300, 1e300, -1e300]
+        params.tensors["head_weights"].value[:, 0] = [1e307, -1e307, 1e307, -1e307]
         bag = Bag("flat-app", 1, dt.date(2019, 1, 1), np.zeros((3, 4)))
         config = TrainConfig(epochs=1, seed=0)
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
