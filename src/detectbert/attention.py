@@ -5,10 +5,12 @@ replaces the full score matrix with landmark kernels joined through an
 iterative pseudo-inverse, which is linear in sequence length for a fixed
 landmark count.  With as many landmarks as rows the two coincide up to
 the pseudo-inverse tolerance, which is the basis of the oracle tests.
-Both work on one head's 2-D tensors.  ``multi_head_nystrom``, the layer
-the model runs, is one function: a fused node over all heads, in blocks
-of ``BLOCK_ROWS`` rows, with one hand-written backward rule, that the
-tests check against the per-head composition of these two.
+Both work on one head's 2-D tensors.  ``multi_head_nystrom``, the block
+the model runs, is one function: a fused node for the whole pre-norm
+residual block (layer norm, all heads of attention and the residual sum),
+in blocks of ``BLOCK_ROWS`` rows, with one hand-written backward rule,
+that the tests check against the composition of ``layer_norm``, the
+per-head use of these two and ``add``.
 """
 
 from __future__ import annotations
@@ -62,36 +64,57 @@ def nystrom_attention(q, k, v, m: int, iters: int = DEFAULT_PINV_ITERS) -> Tenso
 
 
 def multi_head_nystrom(
-    x, weights, heads: int, landmarks: int, iters: int = DEFAULT_PINV_ITERS, rows: int | None = None
+    x, gamma, beta, weights, heads: int, landmarks: int, iters: int = DEFAULT_PINV_ITERS,
+    rows: int | None = None,
 ) -> Tensor:
-    """Multi-head Nystrom self-attention of ``x``, as one differentiable node.
+    """One pre-norm residual block, ``x + MHA(layer_norm(x))``, as one differentiable node.
 
-    ``weights`` are the d x d projections ``(w_q, w_k, w_v, w_o)`` for an
-    input of width d, and ``heads`` must divide d.  Every head runs in the
-    same ``(heads, rows, d / heads)`` array operations, with one
+    ``x`` is one n x d tensor or a list of them, stacked by rows as
+    :func:`~detectbert.numerics.concat_rows` would stack them; the node
+    reads the parts where they are.  ``gamma`` and ``beta`` are the layer
+    norm's 1 x d gain and shift, ``weights`` the d x d projections
+    ``(w_q, w_k, w_v, w_o)``, and ``heads`` must divide d.  Every head runs
+    in the same ``(heads, rows, d / heads)`` array operations, with one
     pseudo-inverse loop for all heads, and the backward rule is
-    hand-written.  ``rows`` limits the output to the first ``rows`` query
-    rows (default: all); keys, values and both landmark sets still use
-    every row.  The landmark count is clamped to the sequence length.
+    hand-written.  ``rows`` limits the output to the first ``rows`` rows
+    (default: all); keys, values and both landmark sets still use every
+    row.  The landmark count is clamped to the sequence length.
 
-    The node runs :func:`nystrom_attention`'s math joined as A (Z (C V)),
+    The attention is :func:`nystrom_attention`'s math joined as A (Z (C V)),
     so the rows x m product A Z is never formed, over blocks of
     ``BLOCK_ROWS`` rows.  The landmarks are projected from segment means of
-    ``x``; C V is summed over key blocks with a running row max and row
-    sum; each query block is projected, attended and projected by ``w_o``
-    straight into its rows of the node's one ``(rows, d)`` result, made
-    after the key loop, so no other array of the sequence's length is held
-    beyond ``x``.  At as many landmarks as rows (the exact regime) the
-    product is exact softmax attention: K and V, held whole, take the
-    places of the key landmarks and Z (C V), which they equal there.  A
-    recorded call runs the same arithmetic and also keeps every block and
-    the whole heads output for its backward rule, which works on the blocks
-    joined, so it gives the bits of a call with no graph.  The tests check
-    the node against the per-head composition of :func:`nystrom_attention`
-    / :func:`exact_attention`.
+    the normed rows, taken over blocks of whole segments; C V is summed over
+    key blocks with a running row max and row sum, and only then is Z
+    formed, so its pseudo-inverse buffers and a key block are never held
+    together; each query block is projected, attended, projected by ``w_o``
+    and added to its rows of ``x``.  At as many landmarks as rows (the
+    exact regime) the product is exact softmax attention: K and V, held
+    whole, take the places of the key landmarks and Z (C V), which they
+    equal there.
+
+    Each row's layer-norm mean and scale are taken first.  Without a graph,
+    at ``rows`` = n the node makes one (n, d) array: the normed rows, which
+    the three loops read, and which each query block overwrites with its
+    output rows once read.  With fewer output rows (the model's last block)
+    the Nystrom regime makes none: each loop normalizes the rows it reads.
+    A recorded call also keeps the standardized rows, every block and the
+    whole heads output for its backward rule, which works on the blocks
+    joined, so it gives the bits of a call with no graph; it sums x's
+    gradient as ``Tensor.backward`` summed the residual's and the layer
+    norm's.  The tests check the node against the composition of
+    ``layer_norm``, the per-head :func:`nystrom_attention` /
+    :func:`exact_attention` and ``add``.
     """
-    x = nm.as_tensor(x)
-    n, d = x.shape
+    parts = [nm.as_tensor(p) for p in (x if isinstance(x, (list, tuple)) else [x])]
+    gamma, beta = nm.as_tensor(gamma), nm.as_tensor(beta)
+    d = parts[0].cols
+    for p in parts:
+        if p.rows < 1 or p.cols != d:
+            raise ShapeError(f"multi_head_nystrom: a row part of shape {p.shape}, not (>= 1, {d})")
+    if gamma.shape != (1, d) or beta.shape != (1, d):
+        raise ShapeError(
+            f"multi_head_nystrom: gamma {gamma.shape} / beta {beta.shape} must be (1, {d})"
+        )
     for w in weights:
         if w.shape != (d, d):
             raise ShapeError(f"multi_head_nystrom: weight shape {w.shape} != input width {d}")
@@ -99,35 +122,58 @@ def multi_head_nystrom(
         raise ValueError(f"multi_head_nystrom: width {d} not divisible by heads={heads}")
     if landmarks < 1:
         raise ValueError(f"multi_head_nystrom: landmarks must be >= 1, got {landmarks}")
+    n = sum(p.rows for p in parts)
     r = n if rows is None else rows
     if not 1 <= r <= n:
         raise ValueError(f"multi_head_nystrom: rows={r} out of range [1, {n}]")
-    parents = (x, *weights)
+    parents = (*parts, gamma, beta, *weights)
     record = nm.recording(parents)
-    xv = x.value
+    xs = [p.value for p in parts]
+    gain, shift = gamma.value, beta.value
     w_q, w_k, w_v, w_o = (w.value for w in weights)
     m = min(landmarks, n)
     c = 1.0 / math.sqrt(d // heads)
+    mean, inv = (_joined(s, 0) for s in zip(*(nm.layer_norm_stats(a) for a in xs)))
+
+    def norm_into(out, start, xhat=None):
+        """Rows ``start:start + len(out)``, normed into ``out`` and standardized into ``xhat``."""
+        for a, lo in _row_pieces(xs, start, start + len(out)):
+            at, to = slice(lo - start, lo - start + len(a)), slice(lo, lo + len(a))
+            h = None if xhat is None else xhat[at]
+            nm.layer_norm_rows(a, mean[to], inv[to], gain, shift, out[at], h)
+        return out
+
+    xhat = np.empty((n, d)) if record else None
+    # the normed rows, whole, unless only the Nystrom regime's first rows are output
+    xv = norm_into(np.empty((n, d)), 0, xhat) if record or r == n or m == n else None
+
+    def normed(start, stop):
+        stop = min(stop, n)
+        return xv[start:stop] if xv is not None else norm_into(np.empty((stop - start, d)), start)
+
     if m == n:  # every landmark is one row, so the key landmarks are K and Z (C V) is V
         k_land = _split_heads(xv @ w_k, heads)
         zcv = _split_heads(xv @ w_v, heads)
     else:
         bounds = np.array(nm.segment_bounds(n, m))
-        x_land = nm.segment_mean_rows(xv, bounds)
+        per = max(1, BLOCK_ROWS // -(-n // m))  # whole segments per landmark block
+        x_land = np.empty((m, d))
+        for i in range(0, m, per):
+            j = min(i + per, m)
+            lo, hi = bounds[i], bounds[j]
+            x_land[i:j] = nm.segment_mean_rows(normed(lo, hi), bounds[i:j + 1] - lo)
         q_land = _split_heads(x_land @ w_q, heads)
         k_land = _split_heads(x_land @ w_k, heads)
         del x_land
-        kernel_ll = _kernel(q_land, k_land, c)
-        trail = [] if record else None
-        z = nm.pinv_iterate(kernel_ll, iters, trail)
         top = np.full(q_land.shape[:-1] + (1,), -np.inf)  # running max of each row of C's scores
         total = np.zeros(top.shape)
         cv = np.zeros(q_land.shape)
         key_blocks = []
         for start in range(0, n, BLOCK_ROWS):
-            xb = xv[start:start + BLOCK_ROWS]
+            xb = normed(start, start + BLOCK_ROWS)
             kb = _split_heads(xb @ w_k, heads)
             vb = _split_heads(xb @ w_v, heads)
+            del xb
             eb = q_land @ mT(kb)
             eb *= c
             new_top = np.maximum(top, eb.max(axis=-1, keepdims=True))
@@ -143,13 +189,17 @@ def multi_head_nystrom(
                 key_blocks.append((kb, vb, eb, new_top))
             del kb, vb, eb  # before the next block's are made
         cv /= total
+        kernel_ll = _kernel(q_land, k_land, c)
+        trail = [] if record else None
+        z = nm.pinv_iterate(kernel_ll, iters, trail)
         zcv = z @ cv
-    result = np.empty((r, d))
+    # without a graph, each query block's output rows replace its normed rows once read
+    result = xv if xv is not None and r == n and not record else np.empty((r, d))
     merged = np.empty((r, d)) if record else None  # the heads output, for the vjp's merged.T @ g
     query_blocks = []
     for start in range(0, r, BLOCK_ROWS):
         stop = min(start + BLOCK_ROWS, r)
-        qb = _split_heads(xv[start:stop] @ w_q, heads)
+        qb = _split_heads(normed(start, stop) @ w_q, heads)
         kernel_qk = _kernel(qb, k_land, c)
         if record:
             query_blocks.append((qb, kernel_qk))
@@ -159,9 +209,11 @@ def multi_head_nystrom(
         np.matmul(kernel_qk, zcv, out=_split_heads(block, heads))
         np.matmul(block, w_o, out=result[start:stop])
         del kernel_qk, block  # before the next block's are made
+        for a, lo in _row_pieces(xs, start, stop):
+            result[lo:lo + len(a)] += a
     if not record:
         return Tensor(result)
-    q_r, kernel_qk = (_joined(parts, 1) for parts in zip(*query_blocks))
+    q_r, kernel_qk = (_joined(blocks, 1) for blocks in zip(*query_blocks))
     if m < n:
         kbs, vbs, ebs, tops = zip(*key_blocks)
         for eb, t in zip(ebs, tops):
@@ -190,10 +242,18 @@ def multi_head_nystrom(
             gq = nm.segment_mean_rows_vjp(gq_land, bounds)
             gq[:, :r] += gq_r
         gq, gk, gv = (_merge_heads(t) for t in (gq, gk, gv))
-        gx = gq @ w_q.T
-        gx += gk @ w_k.T
-        gx += gv @ w_v.T
-        return gx, xv.T @ gq, xv.T @ gk, xv.T @ gv, merged.T @ g
+        g_norm = gq @ w_q.T
+        g_norm += gk @ w_k.T
+        g_norm += gv @ w_v.T
+        gx, g_gamma, g_beta = nm.layer_norm_vjp(g_norm, xhat, inv, gain)
+        # plus the residual's gradient, which is g zero-padded past row r; adding
+        # the padding turns a -0.0 into 0.0, as Tensor.backward's sum does
+        gx[:r] += g
+        gx[r:] += 0.0
+        return (
+            *(gx[lo:lo + len(a)] for a, lo in _row_pieces(xs, 0, n)),
+            g_gamma, g_beta, xv.T @ gq, xv.T @ gk, xv.T @ gv, merged.T @ g,
+        )
 
     return nm.make_node(result, parents, vjp)
 
@@ -205,6 +265,16 @@ def _split_heads(a, heads: int):
 
 def _merge_heads(a):
     return a.transpose(1, 0, 2).reshape(a.shape[1], -1)
+
+
+def _row_pieces(xs, start: int, stop: int):
+    """(rows, first row) of each array's share of rows ``start:stop`` of ``xs`` stacked."""
+    lo = 0
+    for a in xs:
+        hi = lo + len(a)
+        if max(lo, start) < min(hi, stop):
+            yield a[max(lo, start) - lo:min(hi, stop) - lo], max(lo, start)
+        lo = hi
 
 
 def _joined(parts, axis: int):

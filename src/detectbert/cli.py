@@ -13,12 +13,14 @@ the largest bag and the model, not by the number of bags.
 from __future__ import annotations
 
 import argparse
+import io
 import sys
 from dataclasses import fields
 from pathlib import Path
 
 from .data import (
-    SynthConfig, bag_width, dataset_stats, gen_synthetic, load_bags, load_manifest, read_rows
+    SynthConfig, bag_width, dataset_stats, gen_synthetic, load_bags, load_manifest, read_rows,
+    read_text,
 )
 from .baselines import init_baseline
 from .model import KIND, ModelConfig, init_params, load_checkpoint, save_checkpoint
@@ -96,14 +98,20 @@ TRAIN_DEFAULTS = {
 
 
 def _parse_config_file(path):
-    """Yield (line number, key, value) for each ``key=value`` line of a config file."""
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    """Yield (line number, key, value) for each ``key=value`` line of a UTF-8 config file.
+
+    Lines end at ``\n``, ``\r\n`` or ``\r``, as a CSV reader's do (``str.splitlines``
+    would also end one at a form feed).  Any failure raises ``ValueError``
+    naming ``path:line``.
+    """
+    lines = io.StringIO(read_text(path, ValueError), newline=None)
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         key, sep, value = line.partition("=")
         if not sep:
-            raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
+            raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
         yield lineno, key.strip(), value.strip()
 
 

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import Bag
+from .model import Bag, all_finite
 from .seeding import derive_rng
 
 BAG_MAGIC = b"DBMB"
@@ -96,16 +96,29 @@ def bag_width(path) -> int:
         return _read_header(f, path)[1]
 
 
+# payload bytes per chunk that read_bag widens to float64 at a time
+READ_CHUNK_BYTES = 1 << 15
+
+
 def read_bag(path, app_id: str = "", label: int = 0, date: dt.date | None = None) -> Bag:
-    """Load a bag file; metadata fields come from the caller (the manifest)."""
+    """Load a bag file; metadata fields come from the caller (the manifest).
+
+    The float32 payload is read and widened ``READ_CHUNK_BYTES`` at a time
+    into the one float64 array the bag keeps, and each chunk is checked
+    for non-finite values as it arrives.
+    """
     with open(path, "rb") as f:
         n, d = _read_header(f, path)
-        payload = f.read(n * d * 4)
-    if len(payload) != n * d * 4:
-        raise BagTruncatedError(f"{path}: expected {n * d * 4} payload bytes, read {len(payload)}")
-    values = np.frombuffer(payload, dtype="<f4").reshape(n, d).astype(np.float64)
-    if not np.isfinite(values).all():
-        raise BagFormatError(f"{path}: embeddings contain non-finite values")
+        values = np.empty((n, d))
+        step = max(1, READ_CHUNK_BYTES // (4 * d))
+        for start in range(0, n, step):
+            rows = values[start:start + step]
+            raw = f.read(rows.size * 4)
+            if len(raw) != rows.size * 4:
+                raise BagTruncatedError(f"{path}: expected {n * d * 4} payload bytes, found fewer")
+            rows[...] = np.frombuffer(raw, dtype="<f4").reshape(rows.shape)
+            if not all_finite(rows):
+                raise BagFormatError(f"{path}: embeddings contain non-finite values")
     return Bag(app_id=app_id, label=label, date=date, embeddings=values)
 
 
@@ -120,19 +133,23 @@ class ManifestRecord:
 MANIFEST_HEADER = ("app_id", "label", "date", "path")
 
 
+def read_text(path, error) -> str:
+    """A file's UTF-8 text; bytes that are not UTF-8 raise ``error`` naming ``path:line``."""
+    raw = Path(path).read_bytes()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise error(f"{path}:{line}: not UTF-8 text ({exc.reason})") from None
+
+
 def read_rows(path, header, error):
     """Yield (line number, stripped fields) for each non-blank row after a UTF-8 CSV's ``header``.
 
     Each row must have one field per header name.  Any failure, the csv
     module's own included, raises ``error`` naming ``path:line``.
     """
-    raw = Path(path).read_bytes()
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = raw.count(b"\n", 0, exc.start) + 1
-        raise error(f"{path}:{line}: not UTF-8 text ({exc.reason})") from None
-    rows = csv.reader(io.StringIO(text, newline=""))
+    rows = csv.reader(io.StringIO(read_text(path, error), newline=""))
     try:
         first = [c.strip() for c in next(rows, [])]
         if first != list(header):
@@ -238,6 +255,8 @@ class SynthConfig:
             raise ValueError("d must be >= 1")
         if not 1 <= self.bag_size_min <= self.bag_size_max:
             raise ValueError("need 1 <= bag_size_min <= bag_size_max")
+        if not math.isfinite(self.signal_shift):
+            raise ValueError(f"signal_shift must be finite, got {self.signal_shift}")
         if not 0.0 < self.witness_rate <= 1.0:
             raise ValueError("witness_rate must be in (0, 1]")
         if not 0.0 <= self.correlation_strength <= 1.0:

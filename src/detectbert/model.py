@@ -50,6 +50,14 @@ class CheckpointUnknownTensorError(CheckpointError):
     pass
 
 
+def all_finite(a: np.ndarray) -> bool:
+    """Whether a non-empty float array holds no NaN or infinity, with no array-sized temporary.
+
+    A NaN makes both extremes NaN, and an infinity is one of them.
+    """
+    return bool(np.isfinite(a.min()) and np.isfinite(a.max()))
+
+
 @dataclass
 class Bag:
     """One app: id, binary label, date, and an n x d matrix of instance embeddings."""
@@ -61,12 +69,12 @@ class Bag:
 
     def __post_init__(self):
         emb = np.asarray(self.embeddings, dtype=np.float64)
-        if emb.ndim != 2 or emb.shape[0] < 1:
+        if emb.ndim != 2 or emb.size == 0:
             raise ValueError(
                 f"Bag {self.app_id!r}: embeddings must be a non-empty 2-D matrix, "
                 f"got shape {emb.shape}"
             )
-        if not np.isfinite(emb).all():
+        if not all_finite(emb):
             raise ValueError(f"Bag {self.app_id!r}: embeddings contain non-finite values")
         if self.label not in (0, 1):
             raise ValueError(f"Bag {self.app_id!r}: label must be 0 or 1, got {self.label}")
@@ -199,33 +207,29 @@ def forward(bag: Bag, params: ModelParams) -> Tensor:
     is added.  The score is invariant to the order of the bag's instances
     only in the exact regime (n + 1 <= landmarks): past it, the Nystrom
     landmarks are means of contiguous row segments, so they depend on the
-    order.  Each block applies pre-norm multi-head Nystrom attention with a
-    residual connection, and the final logit reads the category row only,
-    so the last block computes only that row (its keys, values and
-    landmarks still use every row).  Without a graph, a block's normed
-    input is freed when its attention node returns, and the node's output
-    once the residual sum is made, so neither lives into the next block.
+    order.  Each block is one :func:`multi_head_nystrom` node: pre-norm
+    multi-head Nystrom attention with its residual connection.  The first
+    block reads the category row and the bag's rows where they are, with no
+    stacked copy.  The final logit reads the category row only, so the last
+    block computes only that row (its keys, values and landmarks still use
+    every row).  Without a graph, a block holds one sequence-sized array,
+    its output, and the last block none beyond its input.
     """
     cfg = params.config
     if bag.dim != cfg.d:
         raise ShapeError(f"forward: bag width {bag.dim} != model width {cfg.d}")
     t = params.tensors
-    x = nm.concat_rows([t["category_vector"], Tensor(bag.embeddings)])
+    x = [t["category_vector"], Tensor(bag.embeddings)]
     for i in range(cfg.num_blocks):
-        weights = tuple(t[f"block{i}.{w}"] for w in ATTENTION_WEIGHTS)
-        last = i == cfg.num_blocks - 1
-        # one expression, so the normed input and the attention output are freed
-        # before the next block runs
-        x = nm.add(
-            multi_head_nystrom(
-                nm.layer_norm(x, t[f"block{i}.ln_gamma"], t[f"block{i}.ln_beta"]),
-                weights,
-                cfg.heads,
-                cfg.landmarks,
-                cfg.pinv_iters,
-                1 if last else None,
-            ),
-            nm.slice_rows(x, 0, 1) if last else x,
+        x = multi_head_nystrom(
+            x,
+            t[f"block{i}.ln_gamma"],
+            t[f"block{i}.ln_beta"],
+            tuple(t[f"block{i}.{w}"] for w in ATTENTION_WEIGHTS),
+            cfg.heads,
+            cfg.landmarks,
+            cfg.pinv_iters,
+            1 if i == cfg.num_blocks - 1 else None,
         )
     z = nm.layer_norm(x, t["final_ln_gamma"], t["final_ln_beta"])
     return nm.add(nm.matmul(z, t["head_weights"]), t["head_bias"])

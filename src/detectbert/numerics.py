@@ -297,26 +297,11 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = LN_EPS) -> T
         )
     if eps <= 0:
         raise ValueError("layer_norm: eps must be positive")
-    xv = x.value
-    xhat = xv - xv.mean(axis=1, keepdims=True)
-    out = xhat * xhat
-    inv = 1.0 / np.sqrt(out.mean(axis=1, keepdims=True) + eps)
-    xhat *= inv
-    gv = gamma.value
-    # the squares' buffer becomes the output: two full-size arrays in all
-    np.multiply(xhat, gv, out=out)
-    out += beta.value
-
-    def vjp(g):
-        dgamma = np.sum(g * xhat, axis=0, keepdims=True)
-        dbeta = np.sum(g, axis=0, keepdims=True)
-        dxhat = g * gv
-        m1 = dxhat.mean(axis=1, keepdims=True)
-        m2 = np.mean(dxhat * xhat, axis=1, keepdims=True)
-        dx = inv * (dxhat - m1 - xhat * m2)
-        return dx, dgamma, dbeta
-
-    return make_node(out, (x, gamma, beta), vjp)
+    xv, gv = x.value, gamma.value
+    mean, inv = layer_norm_stats(xv, eps)
+    xhat = np.empty(xv.shape)
+    out = layer_norm_rows(xv, mean, inv, gv, beta.value, np.empty(xv.shape), xhat)
+    return make_node(out, (x, gamma, beta), lambda g: layer_norm_vjp(g, xhat, inv, gv))
 
 
 def segment_bounds(rows: int, m: int):
@@ -386,6 +371,52 @@ def segment_mean_rows(x: np.ndarray, bounds: np.ndarray) -> np.ndarray:
 def segment_mean_rows_vjp(g: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     sizes = np.diff(bounds)
     return np.repeat(g / sizes[:, None], sizes, axis=-2)
+
+
+# rows per block of layer_norm_stats' squares
+STATS_ROWS = 256
+
+
+def layer_norm_stats(x: np.ndarray, eps: float = LN_EPS):
+    """Each row's mean and 1 / sqrt(variance + eps) (biased variance), as two (rows, 1) arrays.
+
+    The centred squares are formed ``STATS_ROWS`` rows at a time, so no
+    array of ``x``'s size is made.
+    """
+    mean = x.mean(axis=1, keepdims=True)
+    inv = np.empty(mean.shape)
+    for start in range(0, len(x), STATS_ROWS):
+        sq = x[start:start + STATS_ROWS] - mean[start:start + STATS_ROWS]
+        sq *= sq
+        inv[start:start + STATS_ROWS] = sq.mean(axis=1, keepdims=True)
+    inv += eps
+    np.sqrt(inv, out=inv)
+    return mean, np.divide(1.0, inv, out=inv)
+
+
+def layer_norm_rows(x, mean, inv, gamma, beta, out, xhat=None) -> np.ndarray:
+    """``gamma * (x - mean) * inv + beta`` into ``out``, from :func:`layer_norm_stats`' columns.
+
+    Every step is elementwise, so any block of rows gets the bits of the
+    whole.  ``xhat``, if given, receives the standardized rows
+    ``(x - mean) * inv`` that :func:`layer_norm_vjp` takes.
+    """
+    h = np.subtract(x, mean, out=out if xhat is None else xhat)
+    h *= inv
+    np.multiply(h, gamma, out=out)
+    out += beta
+    return out
+
+
+def layer_norm_vjp(g, xhat, inv, gamma):
+    """Gradients of x, gamma and beta from the gradient ``g`` of a layer norm's output."""
+    dgamma = np.sum(g * xhat, axis=0, keepdims=True)
+    dbeta = np.sum(g, axis=0, keepdims=True)
+    dxhat = g * gamma
+    m1 = dxhat.mean(axis=1, keepdims=True)
+    m2 = np.mean(dxhat * xhat, axis=1, keepdims=True)
+    dx = inv * (dxhat - m1 - xhat * m2)
+    return dx, dgamma, dbeta
 
 
 def _eye_stack(shape, scale: float) -> np.ndarray:

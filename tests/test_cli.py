@@ -359,6 +359,41 @@ class TestRejectedInputs:
         single_error_line(capsys)
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, text, message",
+        [
+            ("train", b"epochs=1\nlearning_rate=0.\xff1\n", "{cfg}:2: not UTF-8 text"),
+            ("train", b"epochs=1\n\nheads 2\n", "{cfg}:3: expected key=value"),
+            # a form feed does not end a line, as it does for str.splitlines
+            ("train", b"# x\nepochs=1\x0cheads=two\n", "{cfg}:2: epochs='1\\x0cheads=two'"),
+            ("train", b"bogus=3\n", "{cfg}:1: unknown config key 'bogus'"),
+            ("train", b"heads=two\n", "{cfg}:1: heads='two' is not a valid int"),
+            ("train", b"learning_rate=inf\n", "learning_rate must be finite"),
+            ("gen-synth", b"signal_shift=nan\n", "signal_shift must be finite"),
+        ],
+        ids=["bad-bytes", "no-equals", "form-feed", "unknown-key", "bad-value", "inf-rate",
+             "nan-shift"],
+    )
+    def test_hostile_config_file_is_one_error_line(
+        self, dataset, tmp_path, capsys, command, text, message
+    ):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(text)
+        out = tmp_path / "X"
+        given = ["--manifest", dataset / "manifest.csv"] + FAST if command == "train" else []
+        code = run([command, "--out", out, "--config", cfg] + given)
+        assert code == 1
+        assert message.format(cfg=cfg) in single_error_line(capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("shift", ["nan", "inf"])
+    def test_non_finite_signal_shift_is_refused_before_out_exists(self, tmp_path, capsys, shift):
+        out = tmp_path / "X"
+        code = run(["gen-synth", "--out", out, "--bags", "2", "--signal-shift", shift])
+        assert code == 1
+        assert "signal_shift must be finite" in single_error_line(capsys)
+        assert not out.exists()
+
     def test_unknown_split_role_names_file_and_line(self, dataset, tmp_path, capsys):
         run_dir, split = split_with_line(
             dataset, tmp_path, lambda line: line.rsplit(",", 1)[0] + ",testing"

@@ -116,6 +116,48 @@ class TestBagFiles:
         assert str(raised.value) == f"{path}: embeddings contain non-finite values"
 
 
+    @pytest.mark.parametrize("row", [0, 517, 999])
+    def test_non_finite_value_in_any_chunk_names_the_file(self, tmp_path, row):
+        n, d = 1000, 256  # many chunks of READ_CHUNK_BYTES
+        path = tmp_path / "b.dbmb"
+        write_bag(make_bag(np.random.default_rng(8), n=n, d=d), path)
+        raw = bytearray(path.read_bytes())
+        at = 16 + 4 * (row * d + 3)
+        raw[at:at + 4] = np.array([np.nan], dtype="<f4").tobytes()
+        path.write_bytes(bytes(raw))
+        with pytest.raises(BagFormatError, match="non-finite"):
+            read_bag(path)
+
+    def test_long_bag_read_holds_one_widened_copy(self, tmp_path, allocates_under):
+        """read_bag widens the payload a chunk at a time into the bag's one float64
+        array: under 2.1 times the file's size (3.25 when it held the whole payload
+        and a boolean finiteness mask beside the float64 copy)."""
+        n, d = 1000, 256
+        path = tmp_path / "b.dbmb"
+        bag = make_bag(np.random.default_rng(9), n=n, d=d)
+        write_bag(bag, path)
+        with allocates_under(2.1 * path.stat().st_size):
+            back = read_bag(path)
+        np.testing.assert_array_equal(
+            back.embeddings, bag.embeddings.astype(np.float32).astype(np.float64)
+        )
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_bag_rejects_non_finite_values_without_a_mask(self, allocates_under, value):
+        emb = np.random.default_rng(10).standard_normal((1000, 256))
+        Bag("b", 1, None, emb)
+        with allocates_under(1 << 16):
+            Bag("b", 1, None, emb)  # a boolean mask would be 256 KB
+        emb[500, 7] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            Bag("b", 1, None, emb)
+
+    @pytest.mark.parametrize("shape", [(0, 4), (3, 0), (4,)])
+    def test_bag_rejects_an_empty_or_flat_matrix(self, shape):
+        with pytest.raises(ValueError, match="non-empty 2-D"):
+            Bag("b", 1, None, np.zeros(shape))
+
+
 class TestBagWidth:
     def test_width_from_the_header(self, tmp_path):
         path = tmp_path / "b.dbmb"
@@ -263,6 +305,11 @@ class TestSyntheticGenerator:
     def test_invalid_witness_rate(self):
         with pytest.raises(ValueError):
             SynthConfig(witness_rate=0.0)
+
+    @pytest.mark.parametrize("shift", [np.nan, np.inf, -np.inf])
+    def test_non_finite_signal_shift_rejected(self, shift):
+        with pytest.raises(ValueError, match="signal_shift must be finite"):
+            SynthConfig(signal_shift=shift)
 
 
 class TestDatasetStats:

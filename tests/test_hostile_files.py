@@ -1,15 +1,17 @@
-"""Hostile bytes in a manifest, a split file, a bag file or a checkpoint
-raise the reader's documented error.
+"""Hostile bytes in a manifest, a split file, a config file, a bag file or a
+checkpoint raise the reader's documented error.
 
 Each example takes a valid file and cuts it, overwrites some of its bytes
 or inserts new ones.  The reader must then either accept the result or
 raise its own error type: ``ManifestError`` for a manifest, ``ValueError``
-for a split file, ``BagFormatError`` for a bag file and
+for a split file or a config file, ``BagFormatError`` for a bag file and
 ``CheckpointError`` for a checkpoint (``cli.main`` turns each into one
 ``error:`` line).  Nothing else may escape, ``csv.Error`` and
 ``UnicodeDecodeError`` included, and a bag or checkpoint read allocates
 less than twice the file's size plus 64 KB, whatever its header declares.
 """
+
+import argparse
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from detectbert.baselines import init_baseline
-from detectbert.cli import _read_split, _write_split
+from detectbert.cli import TRAIN_DEFAULTS, _read_split, _write_split, resolve_settings
 from detectbert.data import (
     BagFormatError, ManifestError, SynthConfig, gen_synthetic, load_manifest, read_bag
 )
@@ -60,6 +62,9 @@ def corpus(tmp_path_factory):
     _write_split(split_shuffled(manifest, seed=1), manifest, root / "split.csv")
     save_checkpoint(init_params(ModelConfig(d=4, num_blocks=1, heads=2), 0), root / "head.dbck")
     save_checkpoint(init_baseline("random_selection", 4, 0), root / "baseline.dbck")
+    (root / "run.cfg").write_text(
+        "# a training run\nmodel=detectbert\nlearning_rate=0.001\nepochs=3\n\nheads=2\n"
+    )
     return root, manifest
 
 
@@ -102,6 +107,21 @@ def test_split_reader_raises_only_value_error(corpus, edits):
     listed = plan.train + plan.validation + plan.test
     assert len(set(listed)) == len(listed)
     assert all(0 <= i < len(manifest) for i in listed)
+
+
+@settings(max_examples=300, deadline=None)
+@given(edits=st.lists(EDIT, min_size=1, max_size=3))
+def test_config_reader_raises_only_value_error(corpus, edits):
+    root, _ = corpus
+    path = root / "mutated.cfg"
+    path.write_bytes(mutate((root / "run.cfg").read_bytes(), edits))
+    try:
+        settings = resolve_settings(TRAIN_DEFAULTS, argparse.Namespace(config=path))
+    except ValueError as exc:
+        assert type(exc) is ValueError and str(exc).startswith(f"{path}:")
+        return
+    assert settings.keys() == TRAIN_DEFAULTS.keys()
+    assert all(type(settings[k]) is type(v) for k, v in TRAIN_DEFAULTS.items())
 
 
 # ``allocates_under`` only builds a context manager, so sharing it across examples is safe

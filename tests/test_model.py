@@ -24,7 +24,8 @@ from detectbert.model import (
     predict,
     save_checkpoint,
 )
-from detectbert.numerics import ShapeError, Tensor
+from detectbert.attention import BLOCK_ROWS
+from detectbert.numerics import ShapeError, Tensor, no_grad
 from detectbert.verify import gradcheck, scaled_model_params
 
 
@@ -138,6 +139,25 @@ class TestForward:
         # n + 1 > landmarks: the gradient runs through the pinv backward in every block
         self.check_model_gradient(d=8, n=9, landmarks=4, pinv_iters=6)
 
+    @pytest.mark.parametrize("num_blocks", [1, 2, 3])
+    def test_no_grad_logit_is_the_recorded_bits(self, num_blocks):
+        """Each block's node takes another path without a graph (the normed rows
+        overwritten by the output, or normalized block by block in the last block);
+        the logit keeps the recorded forward's bits on both sides of the landmark
+        count and of the row-block edges."""
+        landmarks = 16
+        cfg = ModelConfig(d=16, num_blocks=num_blocks, heads=4, landmarks=landmarks, pinv_iters=6)
+        params = scaled_model_params(cfg, seed=num_blocks)
+        sizes = [1, landmarks - 2, landmarks - 1, landmarks, landmarks + 1]
+        sizes += [k * BLOCK_ROWS + e for k in (1, 2) for e in (-2, -1, 0)]
+        for n in sizes:  # the sequence is n + 1 rows, with the category row
+            bag = make_bag(np.random.default_rng(n), n=n, d=16)
+            recorded = forward(bag, params)
+            assert recorded.requires_grad
+            with no_grad():
+                plain = forward(bag, params)
+            assert plain.value.tobytes() == recorded.value.tobytes(), n
+
     @staticmethod
     def check_model_gradient(d, n, landmarks, pinv_iters):
         rng = np.random.default_rng(5)
@@ -188,15 +208,15 @@ class TestPredict:
             assert predict(bag, params)["score"] == logistic(recorded.item())
 
     def test_long_bag_holds_a_few_copies_of_itself(self, allocates_under):
-        """At the infer-large shape, predict's transient is the sequence, its normed copy,
-        the attention output and a few row blocks: under 4.45 bag-sized arrays (4.55
-        when the node also held its whole heads output and the next block's layer norm
-        ran beside the previous one's)."""
+        """At the infer-large shape, predict's transient is one sequence-sized array (the
+        first block's normed rows, which become its output) and a few row blocks: under
+        2.75 bag-sized arrays (4.33 when the stacked sequence, each block's normed copy
+        and the residual sums were arrays of their own)."""
         n, d = 1000, 256
         bag = make_bag(np.random.default_rng(9), n=n, d=d)
         params = init_params(ModelConfig(d=d, heads=8, landmarks=64, pinv_iters=24), seed=9)
         predict(bag, params)  # one-time allocations happen here
-        with allocates_under(4.45 * n * d * 8):
+        with allocates_under(2.75 * n * d * 8):
             predict(bag, params)
 
 
