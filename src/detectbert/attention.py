@@ -8,9 +8,10 @@ the pseudo-inverse tolerance, which is the basis of the oracle tests.
 Both work on one head's 2-D tensors.  ``multi_head_nystrom``, the block
 the model runs, is one function: a fused node for the whole pre-norm
 residual block (layer norm, all heads of attention and the residual sum),
-in blocks of ``BLOCK_ROWS`` rows, with one hand-written backward rule,
-that the tests check against the composition of ``layer_norm``, the
-per-head use of these two and ``add``.
+in blocks of ``BLOCK_ROWS`` rows, with one hand-written backward rule
+over the whole arrays a recorded call fills block by block.  The tests
+check it against the composition of ``layer_norm``, the per-head use of
+these two and ``add``.
 """
 
 from __future__ import annotations
@@ -97,11 +98,15 @@ def multi_head_nystrom(
     the three loops read, and which each query block overwrites with its
     output rows once read.  With fewer output rows (the model's last block)
     the Nystrom regime makes none: each loop normalizes the rows it reads.
-    A recorded call also keeps the standardized rows, every block and the
-    whole heads output for its backward rule, which works on the blocks
-    joined, so it gives the bits of a call with no graph; it sums x's
-    gradient as ``Tensor.backward`` summed the residual's and the layer
-    norm's.  The tests check the node against the composition of
+    A recorded call keeps what its backward rule reads in whole arrays that
+    it allocates once and fills block by block with ``out=`` products: the
+    standardized rows (the vjp remakes the normed rows from them, with the
+    forward's steps), K and V (n, d), the key-side exponentials
+    (heads, m, n), Q (rows, d), the query kernel (heads, rows, m), the heads
+    output and the pseudo-inverse's vjp; each block's values have the bits
+    of a call with no graph.  The vjp sums x's gradient as
+    ``Tensor.backward`` summed the residual's and the layer norm's.  The
+    tests check the node against the composition of
     ``layer_norm``, the per-head :func:`nystrom_attention` /
     :func:`exact_attention` and ``add``.
     """
@@ -133,7 +138,7 @@ def multi_head_nystrom(
     w_q, w_k, w_v, w_o = (w.value for w in weights)
     m = min(landmarks, n)
     c = 1.0 / math.sqrt(d // heads)
-    mean, inv = (_joined(s, 0) for s in zip(*(nm.layer_norm_stats(a) for a in xs)))
+    mean, inv = (np.concatenate(s) for s in zip(*(nm.layer_norm_stats(a) for a in xs)))
 
     def norm_into(out, start, xhat=None):
         """Rows ``start:start + len(out)``, normed into ``out`` and standardized into ``xhat``."""
@@ -168,13 +173,16 @@ def multi_head_nystrom(
         top = np.full(q_land.shape[:-1] + (1,), -np.inf)  # running max of each row of C's scores
         total = np.zeros(top.shape)
         cv = np.zeros(q_land.shape)
-        key_blocks = []
+        # a recorded call fills K, V and the key-side exponentials block by block
+        k, v, kernel_lk = (np.empty(s) if record else None for s in ((n, d), (n, d), (heads, m, n)))
+        tops = []  # each key block's row max, against which its exponentials were taken
         for start in range(0, n, BLOCK_ROWS):
-            xb = normed(start, start + BLOCK_ROWS)
-            kb = _split_heads(xb @ w_k, heads)
-            vb = _split_heads(xb @ w_v, heads)
+            stop = min(start + BLOCK_ROWS, n)
+            xb = normed(start, stop)
+            kb = _split_heads(np.matmul(xb, w_k, out=k[start:stop] if record else None), heads)
+            vb = _split_heads(np.matmul(xb, w_v, out=v[start:stop] if record else None), heads)
             del xb
-            eb = q_land @ mT(kb)
+            eb = np.matmul(q_land, mT(kb), out=kernel_lk[..., start:stop] if record else None)
             eb *= c
             new_top = np.maximum(top, eb.max(axis=-1, keepdims=True))
             eb -= new_top
@@ -185,40 +193,38 @@ def multi_head_nystrom(
             cv *= shrink
             cv += eb @ vb
             top = new_top
-            if record:
-                key_blocks.append((kb, vb, eb, new_top))
+            tops.append(top)
             del kb, vb, eb  # before the next block's are made
         cv /= total
         kernel_ll = _kernel(q_land, k_land, c)
-        trail = [] if record else None
-        z = nm.pinv_iterate(kernel_ll, iters, trail)
+        z, pinv_vjp = nm.pinv_iterate(kernel_ll, iters, record)
         zcv = z @ cv
     # without a graph, each query block's output rows replace its normed rows once read
     result = xv if xv is not None and r == n and not record else np.empty((r, d))
-    merged = np.empty((r, d)) if record else None  # the heads output, for the vjp's merged.T @ g
-    query_blocks = []
+    # a recorded call fills Q, the query kernel and the heads output (for the vjp's
+    # merged.T @ g) block by block
+    q_r, kernel_qk, merged = (
+        np.empty(s) if record else None for s in ((r, d), (heads, r, m), (r, d))
+    )
     for start in range(0, r, BLOCK_ROWS):
         stop = min(start + BLOCK_ROWS, r)
-        qb = _split_heads(normed(start, stop) @ w_q, heads)
-        kernel_qk = _kernel(qb, k_land, c)
-        if record:
-            query_blocks.append((qb, kernel_qk))
+        qb = np.matmul(normed(start, stop), w_q, out=q_r[start:stop] if record else None)
+        out = kernel_qk[:, start:stop] if record else None
+        kq = _kernel(_split_heads(qb, heads), k_land, c, out=out)
         del qb
         # the block's heads output, made once its queries are dropped
         block = merged[start:stop] if record else np.empty((stop - start, d))
-        np.matmul(kernel_qk, zcv, out=_split_heads(block, heads))
+        np.matmul(kq, zcv, out=_split_heads(block, heads))
         np.matmul(block, w_o, out=result[start:stop])
-        del kernel_qk, block  # before the next block's are made
+        del kq, block  # before the next block's are made
         for a, lo in _row_pieces(xs, start, stop):
             result[lo:lo + len(a)] += a
     if not record:
         return Tensor(result)
-    q_r, kernel_qk = (_joined(blocks, 1) for blocks in zip(*query_blocks))
     if m < n:
-        kbs, vbs, ebs, tops = zip(*key_blocks)
-        for eb, t in zip(ebs, tops):
-            eb *= np.exp(t - top)  # each block's exponentials, taken against the final row max
-        k, v, kernel_lk = _joined(kbs, 1), _joined(vbs, 1), _joined(ebs, -1)
+        for start, t in zip(range(0, n, BLOCK_ROWS), tops):
+            # each block's exponentials, taken against the final row max
+            kernel_lk[..., start:start + BLOCK_ROWS] *= np.exp(t - top)
         kernel_lk /= total
 
     def vjp(g):
@@ -226,17 +232,17 @@ def multi_head_nystrom(
         g_zcv = mT(kernel_qk) @ gh
         gs = _kernel_vjp(kernel_qk, gh @ mT(zcv), c)
         gq_r = gs @ k_land
-        gk_land = mT(gs) @ q_r
+        gk_land = mT(gs) @ _split_heads(q_r, heads)
         if m == n:  # the gradients of Q (zero past row r), K and V
             gq, gk, gv = np.pad(gq_r, ((0, 0), (0, n - r), (0, 0))), gk_land, g_zcv
         else:
             g_cv = mT(z) @ g_zcv
-            gs = _kernel_vjp(kernel_ll, nm.pinv_vjp(kernel_ll, trail, g_zcv @ mT(cv)), c)
+            gs = _kernel_vjp(kernel_ll, pinv_vjp(g_zcv @ mT(cv)), c)
             gq_land = gs @ k_land
             gk_land += mT(gs) @ q_land
             gv = mT(kernel_lk) @ g_cv
-            gs = _kernel_vjp(kernel_lk, g_cv @ mT(v), c)
-            gq_land += gs @ k
+            gs = _kernel_vjp(kernel_lk, g_cv @ mT(_split_heads(v, heads)), c)
+            gq_land += gs @ _split_heads(k, heads)
             gk = mT(gs) @ q_land
             gk += nm.segment_mean_rows_vjp(gk_land, bounds)
             gq = nm.segment_mean_rows_vjp(gq_land, bounds)
@@ -250,9 +256,12 @@ def multi_head_nystrom(
         # the padding turns a -0.0 into 0.0, as Tensor.backward's sum does
         gx[:r] += g
         gx[r:] += 0.0
+        # the normed rows, remade from xhat by layer_norm_rows' own steps
+        xn = xhat * gain
+        xn += shift
         return (
             *(gx[lo:lo + len(a)] for a, lo in _row_pieces(xs, 0, n)),
-            g_gamma, g_beta, xv.T @ gq, xv.T @ gk, xv.T @ gv, merged.T @ g,
+            g_gamma, g_beta, xn.T @ gq, xn.T @ gk, xn.T @ gv, merged.T @ g,
         )
 
     return nm.make_node(result, parents, vjp)
@@ -277,14 +286,9 @@ def _row_pieces(xs, start: int, stop: int):
         lo = hi
 
 
-def _joined(parts, axis: int):
-    """``parts`` concatenated along ``axis``; a single part is returned as it is, not copied."""
-    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=axis)
-
-
-def _kernel(q, k, c: float):
-    """softmax(c * q k^T) per head, scaled and normalized in place."""
-    s = q @ mT(k)
+def _kernel(q, k, c: float, out=None):
+    """softmax(c * q k^T) per head, scaled and normalized in place (in ``out``, if given)."""
+    s = np.matmul(q, mT(k), out=out)
     s *= c
     return nm.softmax_last(s, out=s)
 

@@ -148,6 +148,12 @@ def write_resolved_config(settings: dict, out_dir: Path):
     (out_dir / "resolved_config.txt").write_text("\n".join(lines) + "\n")
 
 
+def _require_scored(indices):
+    """Refuse a command whose scoring split is empty, before it trains or writes anything."""
+    if not indices:
+        raise ValueError("evaluation split is empty")
+
+
 def _out_dir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -269,6 +275,7 @@ def cmd_evaluate(args) -> int:
         indices = getattr(_read_split(args.split_file, manifest), args.subset)
     else:
         indices = range(len(manifest))
+    _require_scored(indices)
     given = {} if args.threshold is None else {"threshold": args.threshold}
     threshold = TrainConfig(**given).threshold
     out = _out_dir(args)
@@ -297,11 +304,14 @@ def cmd_protocol_shuffled(args) -> int:
     settings, manifest, fit = _training_run(args, repetitions=10)
     if settings["repetitions"] < 1:
         raise ValueError(f"repetitions must be >= 1, got {settings['repetitions']}")
+    reps = range(settings["repetitions"])
+    plans = [split_shuffled(manifest, settings["seed"], rep) for rep in reps]
+    for plan in plans:
+        _require_scored(plan.test)
     out = _out_dir(args)
     all_metrics = []
     report = []
-    for rep in range(settings["repetitions"]):
-        plan = split_shuffled(manifest, settings["seed"], rep)
+    for rep, plan in enumerate(plans):
         metrics, per_app = _run_one_protocol_rep(fit, manifest, plan, settings, settings["model"])
         (out / f"rep{rep}_scores.csv").write_text(format_per_app(per_app))
         report.append(f"[repetition {rep}]\n" + format_metrics_block(metrics))
@@ -337,6 +347,7 @@ def cmd_protocol_temporal(args) -> int:
 def cmd_compare_baselines(args) -> int:
     settings, manifest, fit = _training_run(args, every_model=True)
     plan = split_shuffled(manifest, settings["seed"], settings["repetition"])
+    _require_scored(plan.test)
     out = _out_dir(args)
     lines = [",".join(("model",) + RATES)]
     report = []

@@ -9,6 +9,12 @@ differences in the test suite.
 
 All computation is 64-bit.  Values are strictly 2-D: row vectors are
 ``1 x d``, column vectors ``d x 1`` and scalars ``1 x 1``.
+
+The array math below the primitives works on stacks ``(..., rows, cols)``
+and is shared with the fused attention node.  ``pinv_iterate``, the
+pseudo-inverse iteration, returns its result and, for a recorded call, a
+vjp closure over the steps it kept in one array; both ``iterative_pinv``
+and the node call it.
 """
 
 from __future__ import annotations
@@ -324,18 +330,15 @@ def segment_means(x: Tensor, m: int) -> Tensor:
 def iterative_pinv(a: Tensor, iters: int = DEFAULT_PINV_ITERS) -> Tensor:
     """Moore-Penrose pseudo-inverse by a cubically convergent polynomial iteration.
 
-    See :func:`pinv_iterate`; the backward rule (:func:`pinv_vjp`)
-    differentiates the unrolled iteration, including the norm-based
-    initialization.
+    See :func:`pinv_iterate`, whose vjp differentiates the unrolled
+    iteration, including the norm-based initialization.
     """
     a = as_tensor(a)
     if a.cols != a.rows:
         raise ShapeError(f"iterative_pinv: input must be square, got {a.shape}")
-    av = a.value
-    # one loop for inference and training; only a recorded call keeps the trail
-    trail = [] if recording((a,)) else None
-    z = pinv_iterate(av, iters, trail)
-    return make_node(z, (a,), lambda g: (pinv_vjp(av, trail, g),))
+    # one loop for inference and training; only a recorded call keeps its steps
+    z, vjp = pinv_iterate(a.value, iters, recording((a,)))
+    return make_node(z, (a,), lambda g: (vjp(g),))
 
 
 # ---------------------------------------------------------------------------
@@ -419,89 +422,94 @@ def layer_norm_vjp(g, xhat, inv, gamma):
     return dx, dgamma, dbeta
 
 
-def _eye_stack(shape, scale: float) -> np.ndarray:
-    """``scale`` I as a full stack of ``shape`` (..., m, m): subtracting a 2-D identity is slower."""
-    return np.broadcast_to(scale * np.eye(shape[-1]), shape).copy()
+def _eye_minus(k: float, b: np.ndarray, out: np.ndarray, diag: np.ndarray):
+    """k I - b into ``out``, with no identity: -b, then k added on ``diag``, a view of
+    out's diagonals that the caller takes once per buffer.
+
+    (-b) + k is k - b exactly; an off-diagonal zero may get the other sign,
+    which the product the result goes into does not see.
+    """
+    np.negative(b, out=out)
+    diag += k
 
 
-def pinv_iterate(a: np.ndarray, iters: int, trail: list | None = None) -> np.ndarray:
-    """Pseudo-inverses of a stack of square matrices ``(..., m, m)``.
+def pinv_iterate(a: np.ndarray, iters: int, record: bool = False):
+    """Pseudo-inverses of a stack of square matrices ``(..., m, m)``, and their vjp.
 
     Z0 = a^T / (||a||_1 * ||a||_inf), then
     Z <- 1/4 * Z (13 I - aZ (15 I - aZ (7 I - aZ))), ``iters`` times.
 
-    A ``trail`` list receives each step's ``(Z, aZ, t3, p)``, where
-    t3 = 15 I - aZ (7 I - aZ) and p = 13 I - aZ t3, for :func:`pinv_vjp`;
-    it does not keep 7 I - aZ, which the vjp recomputes from aZ.  With no
-    trail the same loop reuses its step buffers, so it makes Z0, three
-    identities and five more arrays of ``a``'s shape, whatever ``iters`` is.
+    Returns ``(Z, vjp)``: ``vjp(g)`` is the gradient of ``a`` given Z's
+    gradient ``g``, through the unrolled iteration and the norm-based
+    initialization; it is None unless ``record``.  A recorded call keeps
+    each step's aZ, t3 = 15 I - aZ (7 I - aZ), p = 13 I - aZ t3 and next Z
+    in one ``(iters, 4, ...)`` array, plus Z0; the vjp recomputes 7 I - aZ
+    with the forward's expression, so it has the bits the forward used.
+    Without ``record`` every step reuses one aZ, t3 and p and two Z
+    buffers in turn, so the call makes Z0 and five arrays of ``a``'s shape,
+    whatever ``iters`` is, and the Z it returns holds none of the others.
+    Each step forms 7 I - aZ in p's buffer, and spends it before p is written.
     """
     if iters < 1:
         raise ValueError(f"iterative_pinv: iters must be >= 1, got {iters}")
-    absa = np.abs(a)
-    s = absa.sum(axis=-2).max(axis=-1) * absa.sum(axis=-1).max(axis=-1)
-    if np.any(s == 0.0):
-        raise ValueError("iterative_pinv: zero matrix has no scaled initialization")
-    del absa
-    eye7, eye15, eye13 = (_eye_stack(a.shape, k) for k in (7.0, 15.0, 13.0))
-    z = mT(a) / s[..., None, None]  # in a's transposed layout, which the first step's products see
-    spare = []  # C-contiguous buffers of a's shape that no trail holds
-    for _ in range(iters):
-        y, t1, t3, p = (spare.pop() if spare else np.empty(a.shape) for _ in range(4))
-        np.matmul(a, z, out=y)
-        np.subtract(eye7, y, out=t1)
-        np.matmul(y, t1, out=t3)
-        np.subtract(eye15, t3, out=t3)
-        np.matmul(y, t3, out=p)
-        np.subtract(eye13, p, out=p)
-        np.matmul(z, p, out=t1)  # 7I - aZ is spent: its buffer takes the next Z
-        t1 *= 0.25
-        if trail is not None:
-            trail.append((z, y, t3, p))
-        else:
-            # Z0 is not reused: as the out of a product its layout would change the bits
-            spare += [y, t3, p, z] if z.flags.c_contiguous else [y, t3, p]
-        z = t1
-    return z
-
-
-def pinv_vjp(a: np.ndarray, trail: list, g: np.ndarray) -> np.ndarray:
-    """Gradient of :func:`pinv_iterate`'s input, given its output's gradient ``g``.
-
-    ``trail`` is the forward's; each step's 7 I - aZ is recomputed by the
-    forward's own expression, so it has the bits the forward used.
-    """
-    gz = g
-    ga = np.zeros(a.shape)
-    eye7 = _eye_stack(a.shape, 7.0)
-    t1, gp, gt2, gy, prod = (np.empty(a.shape) for _ in range(5))
-    for z_t, y, t3, p in reversed(trail):
-        np.subtract(eye7, y, out=t1)
-        # p = 13I - y @ t3, t3 = 15I - y @ t1, t1 = 7I - y; the signs and the
-        # 1/4 are folded into the products, which is exact
-        np.matmul(mT(z_t), gz, out=gp)
-        gp *= 0.25  # minus the gradient of y @ t3
-        gz_t = gz @ mT(p)
-        gz_t *= 0.25
-        np.matmul(mT(y), gp, out=gt2)  # the gradient of y @ t1
-        np.matmul(gt2, mT(t1), out=gy)
-        gy -= np.matmul(gp, mT(t3), out=prod)
-        gy -= np.matmul(mT(y), gt2, out=prod)
-        ga += np.matmul(gy, mT(z_t), out=prod)
-        gz_t += np.matmul(mT(a), gy, out=prod)
-        gz = gz_t
-    # z0 = a^T / (s1 * s2) with s1, s2 the max abs column / row sums
-    absa = np.abs(a)
-    colsums, rowsums = absa.sum(axis=-2), absa.sum(axis=-1)
-    j1, i1 = colsums.argmax(axis=-1), rowsums.argmax(axis=-1)
+    colsums, rowsums = (np.abs(a).sum(axis=axis) for axis in (-2, -1))
     s1, s2 = colsums.max(axis=-1), rowsums.max(axis=-1)
     s = s1 * s2
-    ga += mT(gz) / s[..., None, None]
-    gs = -np.sum(gz * mT(a), axis=(-2, -1)) / (s * s)
-    n = a.shape[-1]
-    a3, ga3 = a.reshape(-1, n, n), ga.reshape(-1, n, n)
-    b = np.arange(a3.shape[0])
-    j1, i1 = j1.reshape(-1), i1.reshape(-1)
-    ga3[b, :, j1] += (gs * s2).reshape(-1, 1) * np.sign(a3[b, :, j1])
-    ga3[b, i1, :] += (gs * s1).reshape(-1, 1) * np.sign(a3[b, i1, :])
-    return ga
+    if np.any(s == 0.0):
+        raise ValueError("iterative_pinv: zero matrix has no scaled initialization")
+    z0 = mT(a) / s[..., None, None]  # in a's transposed layout, which the first step's products see
+    if record:
+        steps = np.empty((iters, 4) + a.shape)
+    else:
+        # Z0 is not reused: as the out of a product its layout would change the bits
+        shared = np.empty((3,) + a.shape)
+        zs = [np.empty(a.shape) for _ in range(min(iters, 2))]
+    diags = np.einsum("...ii->...i", steps if record else shared)  # views, taken once
+    z = z0
+    for i in range(iters):
+        y, t3, p, nxt = steps[i] if record else (*shared, zs[i % 2])
+        _, d3, dp = diags[i, :3] if record else diags
+        np.matmul(a, z, out=y)
+        _eye_minus(7.0, y, p, dp)  # t1 = 7I - aZ
+        np.matmul(y, p, out=t3)
+        _eye_minus(15.0, t3, t3, d3)
+        np.matmul(y, t3, out=p)
+        _eye_minus(13.0, p, p, dp)
+        np.matmul(z, p, out=nxt)
+        nxt *= 0.25
+        z = nxt
+    if not record:
+        return z, None
+
+    def vjp(g):
+        # p = 13I - y @ t3, t3 = 15I - y @ t1, t1 = 7I - y; the signs and the
+        # 1/4 are folded into the products, which is exact
+        ga = np.zeros(a.shape)
+        t1, gp, gt2, gy, prod, *gzs = np.empty((7,) + a.shape)
+        d1 = np.einsum("...ii->...i", t1)
+        gz = g
+        for i in reversed(range(iters)):
+            (y, t3, p, _), z_t = steps[i], steps[i - 1, 3] if i else z0
+            _eye_minus(7.0, y, t1, d1)
+            np.matmul(mT(z_t), gz, out=gp)
+            gp *= 0.25  # minus the gradient of y @ t3
+            gz_t = np.matmul(gz, mT(p), out=gzs[i % 2])
+            gz_t *= 0.25
+            np.matmul(mT(y), gp, out=gt2)  # the gradient of y @ t1
+            np.matmul(gt2, mT(t1), out=gy)
+            gy -= np.matmul(gp, mT(t3), out=prod)
+            gy -= np.matmul(mT(y), gt2, out=prod)
+            ga += np.matmul(gy, mT(z_t), out=prod)
+            gz_t += np.matmul(mT(a), gy, out=prod)
+            gz = gz_t
+        # z0 = a^T / (s1 * s2) with s1, s2 the max abs column / row sums
+        ga += mT(gz) / s[..., None, None]
+        gs = -np.sum(gz * mT(a), axis=(-2, -1)) / (s * s)
+        a3, ga3 = (t.reshape((-1,) + a.shape[-2:]) for t in (a, ga))
+        b = np.arange(a3.shape[0])
+        j1, i1 = colsums.argmax(axis=-1).reshape(-1), rowsums.argmax(axis=-1).reshape(-1)
+        ga3[b, :, j1] += (gs * s2).reshape(-1, 1) * np.sign(a3[b, :, j1])
+        ga3[b, i1, :] += (gs * s1).reshape(-1, 1) * np.sign(a3[b, i1, :])
+        return ga
+
+    return z, vjp

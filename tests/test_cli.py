@@ -359,6 +359,28 @@ class TestRejectedInputs:
         single_error_line(capsys)
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["protocol-shuffled", "compare-baselines", "evaluate"])
+    def test_empty_scoring_split_is_refused_before_out_exists(self, tmp_path, capsys, command):
+        """On fewer than 10 apps the shuffled test split is empty: the command is
+        refused before it trains a model or makes ``--out``."""
+        data, trained = tmp_path / "six", tmp_path / "trained"
+        assert run(["gen-synth", "--out", data, "--bags", "6", "--dim", "8",
+                    "--bag-size-min", "2", "--bag-size-max", "6", "--seed", "11"]) == 0
+        manifest = data / "manifest.csv"
+        if command == "evaluate":  # a split file that lists no test rows
+            assert run(["train", "--manifest", manifest, "--out", trained] + FAST) == 0
+            argv = ["evaluate", "--checkpoint", trained / "checkpoint.dbck",
+                    "--split-file", trained / "split.csv", "--subset", "test"]
+        else:
+            argv = [command, "--repetitions", "2"] + FAST if command == "protocol-shuffled" \
+                else [command] + FAST
+        capsys.readouterr()
+        out = tmp_path / "X"
+        code = run(argv + ["--manifest", manifest, "--out", out])
+        assert code == 1
+        assert "evaluation split is empty" in single_error_line(capsys)
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "command, text, message",
         [

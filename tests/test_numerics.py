@@ -2,6 +2,7 @@
 
 import contextlib
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -226,9 +227,26 @@ class TestIterativePinv:
         np.testing.assert_array_equal(plain.value, recorded.value)
 
 
+def reference_pinv_forward(a, iters):
+    """The pseudo-inverse iteration with every k I - B subtracted from ``k * np.eye(m)``;
+    returns Z and each step's (z, y, t1, t3, p), with t1 = 7I - y kept."""
+    eye = np.eye(a.shape[-1])
+    absa = np.abs(a)
+    s = absa.sum(axis=-2).max(axis=-1) * absa.sum(axis=-1).max(axis=-1)
+    z = nm.mT(a) / s[..., None, None]
+    trail = []
+    for _ in range(iters):
+        y = a @ z
+        t1 = 7.0 * eye - y
+        t3 = 15.0 * eye - y @ t1
+        p = 13.0 * eye - y @ t3
+        trail.append((z, y, t1, t3, p))
+        z = 0.25 * (z @ p)
+    return z, trail
+
+
 def reference_pinv_vjp(a, trail, g):
-    """pinv_vjp as written when the trail kept each step's (z, y, t1, t3, p),
-    with t1 = 7I - y stored by the forward instead of recomputed."""
+    """The pseudo-inverse's vjp over a five-array trail, the products written out."""
     gz = g
     ga = np.zeros(a.shape)
     for z_t, y, t1, t3, p in reversed(trail):
@@ -254,31 +272,88 @@ def reference_pinv_vjp(a, trail, g):
     return ga
 
 
+def same_bits(x, y):
+    return x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def softmax_kernels(rng, heads, m):
+    return softmax_np(rng.standard_normal((heads * m, m))).reshape(heads, m, m)
+
+
+def check_against_reference(a, iters, g):
+    """The recorded call's Z and vjp, and the no-record call's Z, have the reference's bits."""
+    z, vjp = nm.pinv_iterate(a, iters, record=True)
+    ref_z, trail = reference_pinv_forward(a, iters)
+    assert same_bits(z, ref_z)
+    assert same_bits(vjp(g), reference_pinv_vjp(a, trail, g))
+    plain, none = nm.pinv_iterate(a, iters)
+    assert none is None and same_bits(plain, z)
+
+
 class TestPinvTrail:
+    """pinv_iterate adds k on a diagonal where the reference subtracts from k I;
+    its results keep the reference's bits."""
+
     @pytest.mark.parametrize("iters", [6, 24])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_vjp_equals_the_five_array_trail_vjp(self, iters, seed):
-        """The trail keeps (z, y, t3, p); recomputing t1 = 7I - y in the vjp
-        gives the gradient of a trail that stored t1, bit for bit."""
+        """The recorded steps keep (y, t3, p, next Z); recomputing t1 = 7I - y in
+        the vjp gives the gradient of a trail that stored t1, bit for bit."""
         rng = np.random.default_rng(seed)
         heads, m = int(rng.integers(1, 5)), int(rng.integers(2, 20))
-        a = softmax_np(rng.standard_normal((heads * m, m))).reshape(heads, m, m)
-        g = rng.standard_normal((heads, m, m))
-        trail = []
-        nm.pinv_iterate(a, iters, trail)
-        assert len(trail) == iters and all(len(step) == 4 for step in trail)
-        five = [(z, y, 7.0 * np.eye(m) - y, t3, p) for z, y, t3, p in trail]
-        assert (nm.pinv_vjp(a, trail, g) == reference_pinv_vjp(a, five, g)).all()
+        a = softmax_kernels(rng, heads, m)
+        check_against_reference(a, iters, rng.standard_normal(a.shape))
 
     @pytest.mark.parametrize("heads, m, iters", [(4, 32, 6), (3, 17, 24), (8, 64, 24), (2, 1, 5)])
     @pytest.mark.parametrize("seed", [0, 1])
     def test_no_trail_gives_the_trailed_bits(self, heads, m, iters, seed):
-        """Without a trail the loop reuses its step buffers, but never Z0's,
+        """Without a record the loop reuses its step buffers, but never Z0's,
         whose transposed layout would change the products' bits."""
         rng = np.random.default_rng(seed)
-        a = softmax_np(rng.standard_normal((heads * m, m))).reshape(heads, m, m)
-        trailed = nm.pinv_iterate(a, iters, [])
-        assert np.array_equal(nm.pinv_iterate(a, iters), trailed)
+        a = softmax_kernels(rng, heads, m)
+        recorded, vjp = nm.pinv_iterate(a, iters, record=True)
+        plain, none = nm.pinv_iterate(a, iters)
+        assert none is None and vjp is not None
+        assert same_bits(plain, recorded)
+
+    @pytest.mark.parametrize("kind", ["saturated", "one-hot", "one-landmark"])
+    @pytest.mark.parametrize("iters", [1, 6, 24])
+    def test_exact_zeros_keep_the_reference_bits(self, kind, iters):
+        """Kernels with exact zeros make zero entries in aZ, t3 and p, whose sign
+        differs off the diagonal (-0.0 for 0.0 - 0.0); no result sees it."""
+        rng = np.random.default_rng(iters)
+        if kind == "saturated":  # softmax of +-800 scores: rows of exact 0s and 1 / k
+            a = softmax_np(800.0 * np.sign(rng.standard_normal((3 * 6, 6)))).reshape(3, 6, 6)
+        elif kind == "one-hot":  # with a repeated column, so singular
+            a = np.eye(5)[rng.integers(0, 5, size=(2, 5))]
+        else:
+            a = softmax_kernels(rng, 4, 1)
+        assert kind == "one-landmark" or (a == 0.0).any()
+        check_against_reference(a, iters, rng.standard_normal(a.shape))
+
+    def test_recorded_state_does_not_grow_with_iterations(self):
+        """A recorded call keeps its steps in one array: it holds as many allocations
+        of a's size or more after 24 iterations as after 6."""
+
+        def held(iters):
+            a = softmax_kernels(np.random.default_rng(3), 4, 32)
+            tracemalloc.start()
+            try:
+                kept = nm.pinv_iterate(a, iters, record=True)
+                traces = tracemalloc.take_snapshot().traces
+            finally:
+                tracemalloc.stop()
+            assert kept[1] is not None
+            return sum(t.size >= a.nbytes for t in traces)
+
+        assert held(6) == held(24)
+
+    def test_no_record_call_holds_six_arrays(self, allocates_under):
+        """Z0, one aZ, t3 and p and two Z buffers in turn, and no identities."""
+        a = softmax_kernels(np.random.default_rng(4), 8, 64)
+        nm.pinv_iterate(a, 24)
+        with allocates_under(6.5 * a.nbytes):
+            nm.pinv_iterate(a, 24)
 
 
 class TestBackwardRules:

@@ -446,6 +446,19 @@ class TestTrainMemory:
             train(TrainConfig(epochs=2, seed=3), bags, [], init_params(config, seed=3))
 
 
+    def test_a_long_bag_step_holds_under_30_bag_units(self, allocates_under):
+        """One forward and backward over a multi-block bag (d = 64, n = 1100, 8 heads,
+        16 landmarks) peaks under 30 bag-sized arrays: each recorded node keeps its
+        standardized rows and remakes the normed rows in its vjp (31.18 units when
+        it kept both)."""
+        n, d = 1100, 64
+        bag = make_bags(np.random.default_rng(11), 1, d=d, n_range=(n, n + 1))[0]
+        params = init_params(ModelConfig(d=d, heads=8, landmarks=16, pinv_iters=6), seed=3)
+        bce_loss(params.logit(bag), bag.label).backward()  # allocates the grads
+        with allocates_under(30 * n * d * 8):
+            bce_loss(params.logit(bag), bag.label).backward()
+
+
 class TestEvaluate:
     def test_constant_zero_logit_predicts_all_malware(self):
         rng = np.random.default_rng(5)
