@@ -112,6 +112,7 @@ def multi_head_nystrom(
     """
     parts = [nm.as_tensor(p) for p in (x if isinstance(x, (list, tuple)) else [x])]
     gamma, beta = nm.as_tensor(gamma), nm.as_tensor(beta)
+    weights = [nm.as_tensor(w) for w in weights]
     d = parts[0].cols
     for p in parts:
         if p.rows < 1 or p.cols != d:
@@ -120,6 +121,9 @@ def multi_head_nystrom(
         raise ShapeError(
             f"multi_head_nystrom: gamma {gamma.shape} / beta {beta.shape} must be (1, {d})"
         )
+    if len(weights) != 4:
+        raise ValueError(f"multi_head_nystrom: expected 4 weights (w_q, w_k, w_v, w_o), "
+                         f"got {len(weights)}")
     for w in weights:
         if w.shape != (d, d):
             raise ShapeError(f"multi_head_nystrom: weight shape {w.shape} != input width {d}")
@@ -127,6 +131,8 @@ def multi_head_nystrom(
         raise ValueError(f"multi_head_nystrom: width {d} not divisible by heads={heads}")
     if landmarks < 1:
         raise ValueError(f"multi_head_nystrom: landmarks must be >= 1, got {landmarks}")
+    if iters < 1:
+        raise ValueError(f"multi_head_nystrom: iters must be >= 1, got {iters}")
     n = sum(p.rows for p in parts)
     r = n if rows is None else rows
     if not 1 <= r <= n:

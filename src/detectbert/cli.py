@@ -7,13 +7,17 @@ explicit flags.  Every run writes its fully resolved configuration next
 to its outputs, and machine-readable outputs carry no timestamps, so a
 rerun with identical flags and seed reproduces them byte for byte.
 Commands read each bag from its file when they use it, so memory is set by
-the largest bag and the model, not by the number of bags.
+the largest bag and the model, not by the number of bags.  Only the scoring
+of an evaluation or test split runs in worker processes (:func:`fork_map`);
+training, with its per-epoch validation, runs in this process.
 """
 
 from __future__ import annotations
 
 import argparse
 import io
+import math
+import os
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -148,6 +152,57 @@ def write_resolved_config(settings: dict, out_dir: Path):
     (out_dir / "resolved_config.txt").write_text("\n".join(lines) + "\n")
 
 
+# The task of the fork_map call a pool worker serves; set only in the workers,
+# which inherit it through fork without pickling.
+_worker_task = None
+
+
+def _init_worker(task):
+    global _worker_task
+    _worker_task = task
+
+
+def _run_in_worker(item):
+    return _worker_task(item)
+
+
+def fork_map(task, items):
+    """``[task(item) for item in items]``, computed in forked worker processes.
+
+    The scoring commands pass it to :func:`training.evaluate` as its
+    ``map``.  It starts one worker per usable CPU (no more than there are
+    items); each inherits ``task`` (with the parameters and the file-backed
+    bag sequence it closes over) through fork, and only the items and the
+    results are sent between processes.  A pool task is a run of contiguous
+    items, about 16 tasks per worker, so small bags do not each pay a
+    task's round trip.  Results come back in item order, and a failure is
+    raised as the first failing item's; a worker that dies raises
+    ``BrokenProcessPool`` (a ``RuntimeError``).  With one worker, where
+    ``os.sched_getaffinity`` (and with it ``fork``) is missing, or in a
+    daemonic process (such as a ``multiprocessing.Pool`` worker, which may
+    not start children), the items are computed in this process.  Workers
+    inherit the parent's BLAS configuration, so the scores are the same
+    bits at any worker count.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(cpus, len(items))
+    if workers > 1:
+        # imported here: they cost about 2 MB that commands which do not score need not pay
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        if multiprocessing.current_process().daemon:  # it may not start children
+            workers = 1
+    if workers <= 1:
+        return [task(item) for item in items]
+    with ProcessPoolExecutor(
+        workers, mp_context=multiprocessing.get_context("fork"),
+        initializer=_init_worker, initargs=(task,),
+    ) as pool:
+        chunk = math.ceil(len(items) / (16 * workers))
+        return list(pool.map(_run_in_worker, items, chunksize=chunk))
+
+
 def _require_scored(indices):
     """Refuse a command whose scoring split is empty, before it trains or writes anything."""
     if not indices:
@@ -279,7 +334,7 @@ def cmd_evaluate(args) -> int:
     given = {} if args.threshold is None else {"threshold": args.threshold}
     threshold = TrainConfig(**given).threshold
     out = _out_dir(args)
-    metrics, per_app = evaluate(params, load_bags(manifest, indices), threshold)
+    metrics, per_app = evaluate(params, load_bags(manifest, indices), threshold, map=fork_map)
     (out / "scores.csv").write_text(format_per_app(per_app))
     (out / "metrics.txt").write_text(format_metrics_block(metrics))
     write_resolved_config(
@@ -297,7 +352,9 @@ def cmd_evaluate(args) -> int:
 
 def _run_one_protocol_rep(fit, manifest, plan, settings, model):
     result = fit(plan, model)
-    return evaluate(result.params, load_bags(manifest, plan.test), settings["threshold"])
+    return evaluate(
+        result.params, load_bags(manifest, plan.test), settings["threshold"], map=fork_map
+    )
 
 
 def cmd_protocol_shuffled(args) -> int:

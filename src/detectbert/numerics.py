@@ -451,12 +451,12 @@ def pinv_iterate(a: np.ndarray, iters: int, record: bool = False):
     Each step forms 7 I - aZ in p's buffer, and spends it before p is written.
     """
     if iters < 1:
-        raise ValueError(f"iterative_pinv: iters must be >= 1, got {iters}")
+        raise ValueError(f"pinv_iterate: iters must be >= 1, got {iters}")
     colsums, rowsums = (np.abs(a).sum(axis=axis) for axis in (-2, -1))
     s1, s2 = colsums.max(axis=-1), rowsums.max(axis=-1)
     s = s1 * s2
     if np.any(s == 0.0):
-        raise ValueError("iterative_pinv: zero matrix has no scaled initialization")
+        raise ValueError("pinv_iterate: zero matrix has no scaled initialization")
     z0 = mT(a) / s[..., None, None]  # in a's transposed layout, which the first step's products see
     if record:
         steps = np.empty((iters, 4) + a.shape)

@@ -13,14 +13,14 @@ reaches them.
 
 from __future__ import annotations
 
+import functools
 import math
-import os
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .model import Bag, logistic, predict
+from .model import Bag, all_finite, logistic, predict
 from .numerics import Tensor, make_node
 from .seeding import derive_rng, derive_seed
 
@@ -304,9 +304,11 @@ def train(
     sequence when it is used, so file-backed sequences
     (:func:`data.load_bags`) hold one bag at a time.  A step's recorded
     graph is released once the next bag has been read, before that bag's
-    forward, so no step holds two graphs.  Fully deterministic
-    given the config seed: per-epoch bag order and baseline instance
-    redraws derive from it by name.
+    forward, so no step holds two graphs.  Each epoch's validation scores
+    the bags in this process (:func:`evaluate` with the builtin ``map``), so
+    training starts no other process.  Fully deterministic given the config
+    seed: per-epoch bag order and baseline instance redraws derive from it
+    by name.
     """
     if not train_bags:
         raise ValueError("training split is empty")
@@ -334,7 +336,7 @@ def train(
                 raise TrainingDivergedError(f"non-finite loss at epoch {epoch}, bag {bag.app_id!r}")
             loss_sum += value
             loss.backward()
-            if not np.isfinite(grad).all():
+            if not all_finite(grad):
                 name = named[np.searchsorted(bounds, np.argmin(np.isfinite(grad)), "right")][0]
                 raise TrainingDivergedError(
                     f"non-finite gradient of {name!r} at epoch {epoch}, bag {bag.app_id!r}"
@@ -361,45 +363,22 @@ def train(
     return TrainResult(params=params, best_epoch=best_epoch, best_f1=best_f1, history=history)
 
 
-def evaluate(params, bags: Sequence[Bag], threshold: float = 0.5):
+def evaluate(params, bags: Sequence[Bag], threshold: float = 0.5, map=map):
     """Score every bag with :func:`predict`, taking each from ``bags`` as it is scored.
 
-    The bags are scored in forked worker processes, one per usable CPU (no
-    more than there are bags), each reading and scoring one bag at a time
-    and sending back only its record.  A pool task is a run of contiguous
-    bags, about 16 tasks per worker, so small bags do not each pay a task's
-    round trip.  Records come back in bag order, and a failure is raised as
-    the first failing bag's, as a serial loop would raise it; a worker that
-    dies raises ``BrokenProcessPool`` (a ``RuntimeError``).  With one
-    worker, where ``os.sched_getaffinity`` (and with it ``fork``) is
-    missing, or in a daemonic process (such as a ``multiprocessing.Pool``
-    worker, which may not start children), the bags are scored in this
-    process.  Workers inherit the parent's BLAS configuration, so the
-    scores are the same bits at any worker count.
+    ``map(fn, indices)`` applies ``fn``, which scores ``bags[i]`` into its
+    per-app record (:func:`score_app`), to each index in order and returns
+    the records in that order; the builtin ``map`` scores them one at a
+    time in this process.  A failure is raised as the first failing bag's,
+    as a serial loop would raise it.  The CLI passes a ``map`` that spreads
+    the bags over forked worker processes (``cli.fork_map``); validation in
+    :func:`train` always scores in this process.
 
     Returns (Metrics, per-app records ordered by app id).
     """
     if not bags:
         raise ValueError("evaluation split is empty")
-    args = (params, bags, threshold)
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = min(cpus, len(bags))
-    if workers > 1:
-        # imported here: they cost about 2 MB that predict-only callers need not pay
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        if multiprocessing.current_process().daemon:  # it may not start children
-            workers = 1
-    if workers > 1:
-        with ProcessPoolExecutor(
-            workers, mp_context=multiprocessing.get_context("fork"),
-            initializer=_init_worker, initargs=args,
-        ) as pool:
-            chunk = math.ceil(len(bags) / (16 * workers))
-            per_app = list(pool.map(_score_in_worker, range(len(bags)), chunksize=chunk))
-    else:
-        per_app = [score_app(*args, i) for i in range(len(bags))]
+    per_app = list(map(functools.partial(score_app, params, bags, threshold), range(len(bags))))
     per_app.sort(key=lambda r: r["app_id"])
     metrics = compute_metrics(
         [r["prediction"] for r in per_app], [r["label"] for r in per_app]
@@ -417,20 +396,6 @@ def score_app(params, bags: Sequence[Bag], threshold: float, i: int) -> dict:
         "label": bag.label,
         "prediction": out["label"],
     }
-
-
-# (params, bags, threshold) of the evaluate call a pool worker serves; set
-# only in the workers, which inherit it through fork without pickling.
-_worker_args = None
-
-
-def _init_worker(*args):
-    global _worker_args
-    _worker_args = args
-
-
-def _score_in_worker(i: int) -> dict:
-    return score_app(*_worker_args, i)
 
 
 # ---------------------------------------------------------------------------

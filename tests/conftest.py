@@ -31,8 +31,8 @@ def allocates_under():
 
 @pytest.fixture()
 def usable_cpus(monkeypatch):
-    """``usable_cpus(k)`` makes ``training.evaluate`` see k usable CPUs, so it
-    scores in min(k, bags) forked workers, or in this process at 1."""
+    """``usable_cpus(k)`` makes ``cli.fork_map``, the scoring commands' map, see k
+    usable CPUs, so it runs in min(k, items) forked workers, or in this process at 1."""
 
     def set_count(k):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)), raising=False)

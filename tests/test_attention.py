@@ -204,6 +204,26 @@ class TestMultiHeadNystrom:
                 Tensor(np.zeros((3, 6))), *plain_norm(6), identity_weights(6), heads=4, landmarks=64
             )
 
+    @pytest.mark.parametrize("n", [5, 40], ids=["exact", "nystrom"])
+    def test_iters_validated_in_both_regimes(self, n):
+        x = Tensor(np.random.default_rng(12).standard_normal((n, 4)))
+        with pytest.raises(ValueError, match="^multi_head_nystrom: iters must be >= 1, got 0$"):
+            multi_head_nystrom(x, *plain_norm(4), identity_weights(4), heads=2, landmarks=16,
+                               iters=0)
+
+    def test_weight_count_validated(self):
+        with pytest.raises(ValueError, match="^multi_head_nystrom: expected 4 weights"):
+            multi_head_nystrom(Tensor(np.zeros((3, 4))), *plain_norm(4), identity_weights(4)[:3],
+                               heads=2, landmarks=2)
+
+    def test_numpy_weights_act_as_tensors(self):
+        rng = np.random.default_rng(13)
+        x = rng.standard_normal((9, 4))
+        weights = [rng.standard_normal((4, 4)) for _ in range(4)]
+        plain = multi_head_nystrom(x, *plain_norm(4), weights, heads=2, landmarks=3).value
+        wrapped = [Tensor(w) for w in weights]
+        assert (plain == multi_head_nystrom(x, *plain_norm(4), wrapped, 2, 3).value).all()
+
     def test_rows_validated(self):
         x = [Tensor(np.zeros((1, 4))), Tensor(np.zeros((2, 4)))]
         for rows in (0, 4):

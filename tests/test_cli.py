@@ -43,18 +43,28 @@ def run_pinned(args, blas_threads: int) -> subprocess.CompletedProcess:
                           capture_output=True, text=True, timeout=300)
 
 
-# Prints whether evaluate's records, scored in two forked workers, equal a
-# plain loop of predict in this process bit for bit.
+# Prints whether evaluate's records, scored in two forked workers by the CLI's
+# map, equal a plain loop of predict in this process bit for bit.
 EVALUATE_VS_PREDICT = """
 import os, sys
-from detectbert import data, model, training
+from detectbert import cli, data, model, training
 os.sched_getaffinity = lambda pid: {0, 1}  # two workers on any host
 manifest = data.load_manifest(sys.argv[1])
 bags = data.load_bags(manifest, range(len(manifest)))
 params = model.load_checkpoint(sys.argv[2])
-_, per_app = training.evaluate(params, bags)
+_, per_app = training.evaluate(params, bags, map=cli.fork_map)
 loop = sorted((bag.app_id, model.predict(bag, params)["score"].hex()) for bag in bags)
 print([(r["app_id"], r["score"].hex()) for r in per_app] == loop)
+"""
+
+# Runs the `train` command given in argv at two usable CPUs and prints whether
+# the process imported the modules that start worker processes.
+TRAIN_IMPORTS = """
+import os, sys
+os.sched_getaffinity = lambda pid: {0, 1}
+from detectbert import cli
+assert cli.main(sys.argv[1:]) == 0
+print(sorted(m for m in ("concurrent.futures", "multiprocessing") if m in sys.modules))
 """
 
 
@@ -88,6 +98,16 @@ class TestReproducibility:
         done = run_pinned(["-c", EVALUATE_VS_PREDICT, data / "manifest.csv", tmp_path / "model.dbck"],
                           blas_threads)
         assert done.stdout == "True\n"
+
+
+class TestProcesses:
+    def test_train_imports_no_worker_pool(self, dataset, tmp_path):
+        """A train command validates every epoch in its own process, so it never
+        imports concurrent.futures or multiprocessing."""
+        done = run_pinned(["-c", TRAIN_IMPORTS, "train", "--manifest", dataset / "manifest.csv",
+                           "--out", tmp_path / "run", "--epochs", "2", "--heads", "2",
+                           "--landmarks", "4", "--seed", "5"], blas_threads=1)
+        assert done.stdout.splitlines()[-1] == "[]"
 
 
 class TestGenSynth:
@@ -625,8 +645,9 @@ class TestMemory:
         assert large < small + self.MARGIN, f"traced peak {small} B at 50 bags, {large} B at 200"
 
     def test_worker_scoring_does_not_grow_with_the_corpus(self, corpora):
-        """evaluate scores in forked workers, which the test above does not trace;
-        this runs a worker's scoring, every index through score_app, in-process."""
+        """The evaluate command scores in forked workers, which the test above does
+        not trace; this runs a worker's scoring, every index through score_app,
+        in-process."""
         params = load_checkpoint(corpora / "model.dbck")
 
         def traced_peak(bags) -> int:

@@ -215,6 +215,13 @@ class TestIterativePinv:
         with pytest.raises(ValueError, match="zero"):
             nm.iterative_pinv(Tensor(np.zeros((3, 3))), 6)
 
+    def test_pinv_iterate_names_itself(self):
+        a = softmax_np(np.random.default_rng(5).standard_normal((3, 3)))
+        with pytest.raises(ValueError, match="^pinv_iterate: iters must be >= 1, got 0$"):
+            nm.pinv_iterate(a, 0)
+        with pytest.raises(ValueError, match="^pinv_iterate: zero matrix"):
+            nm.pinv_iterate(np.zeros((3, 3)), 6)
+
     @pytest.mark.parametrize("n", [5, 32, 33, 64, 65])
     def test_no_grad_matches_recorded_bitwise(self, n):
         """Inference and training compute the pseudo-inverse by the same loop."""

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from detectbert.baselines import aggregate, init_baseline
+from detectbert.cli import fork_map
 from detectbert.data import BagFormatError, ManifestRecord, SynthConfig, synth_bag
 from detectbert.model import Bag, ModelConfig, init_params, logistic, predict
 from detectbert.numerics import Tensor
@@ -511,7 +512,8 @@ class ExitsOn:
 
 
 class TestEvaluateWorkers:
-    """evaluate scores in forked workers; its records and errors are a serial loop's."""
+    """evaluate scores in forked workers through the CLI's map; its records and
+    errors are a serial loop's."""
 
     @pytest.mark.parametrize("model", ["attention", "elementwise_average"])
     def test_records_equal_a_predict_loop_bitwise(self, usable_cpus, model):
@@ -531,7 +533,7 @@ class TestEvaluateWorkers:
         loop.sort(key=lambda r: r["app_id"])
         for cpus in (2, 3):
             usable_cpus(cpus)
-            _, per_app = evaluate(params, bags)
+            _, per_app = evaluate(params, bags, map=fork_map)
             assert per_app == loop  # scores are finite and nonzero, so == compares bits
             assert multiprocessing.active_children() == []
 
@@ -540,18 +542,18 @@ class TestEvaluateWorkers:
         usable_cpus(cpus)
         bags = BadBags(make_bags(np.random.default_rng(8), 12, d=4), bad={3, 7})
         with pytest.raises(BagFormatError, match="^bag 3 is corrupt$"):
-            evaluate(init_baseline("elementwise_average", 4, seed=0), bags)
+            evaluate(init_baseline("elementwise_average", 4, seed=0), bags, map=fork_map)
         assert multiprocessing.active_children() == []
 
     def test_a_daemonic_caller_scores_inline(self, usable_cpus):
         bags = make_bags(np.random.default_rng(10), 4, d=4)
         params = init_baseline("elementwise_average", 4, seed=0)
         usable_cpus(1)
-        _, serial = evaluate(params, bags)
+        _, serial = evaluate(params, bags, map=fork_map)
         usable_cpus(2)
         # a Pool worker is daemonic, and a daemonic process may not start children
         with multiprocessing.get_context("fork").Pool(1) as pool:
-            _, per_app = pool.apply(evaluate, (params, bags))
+            _, per_app = pool.apply(evaluate, (params, bags), {"map": fork_map})
         assert per_app == serial
         assert multiprocessing.active_children() == []
 
@@ -560,6 +562,21 @@ class TestEvaluateWorkers:
         bags = make_bags(np.random.default_rng(9), 12, d=4)
         params = ExitsOn(init_baseline("elementwise_average", 4, seed=0), bags[5].app_id)
         with pytest.raises(BrokenProcessPool) as caught:
-            evaluate(params, bags)
+            evaluate(params, bags, map=fork_map)
         assert isinstance(caught.value, RuntimeError)  # the CLI's one `error:` line
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_library_evaluate_starts_no_child(self, usable_cpus, monkeypatch, cpus):
+        """Without the CLI's map, evaluate scores in this process at any CPU count."""
+        usable_cpus(cpus)
+
+        def no_fork():
+            raise AssertionError("evaluate forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        bags = make_bags(np.random.default_rng(10), 12, d=4)
+        params = init_baseline("elementwise_average", 4, seed=0)
+        _, per_app = evaluate(params, bags)
+        assert [r["app_id"] for r in per_app] == sorted(b.app_id for b in bags)
         assert multiprocessing.active_children() == []

@@ -5,8 +5,8 @@ Usage::
     PYTHONPATH=src python tools/output_digests.py OUT
 
 ``OUT`` must not exist.  The commands run in this process through
-``detectbert.cli.main``, from ``gen-synth`` to a few ``predict`` scores at
-d = 256, and write under ``OUT``.  Each command's stdout is kept as
+``detectbert.cli.main``, from ``gen-synth`` to the verification oracles and
+a few ``predict`` scores at d = 256, and write under ``OUT``.  Each command's stdout is kept as
 ``OUT/stdout/NN-<command>.txt``.  The script prints one ``sha256  path``
 line per file, with paths relative to ``OUT``; in stdout and in
 ``resolved_config.txt`` the output directory is replaced by ``<OUT>``
@@ -57,6 +57,7 @@ COMMANDS = [
      "--epochs", "1", "--heads", "4", "--landmarks", "16", "--pinv-iters", "24", "--seed", "5"],
     ["evaluate", "--manifest", "{out}/long/manifest.csv",
      "--checkpoint", "{out}/train-long/checkpoint.dbck", "--out", "{out}/evaluate-long"],
+    ["verify", "--seed", "0"],
 ]
 
 # (rows, seed) of the bags scored at d = 256 with the acceptance-9 model shape.
