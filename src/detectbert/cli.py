@@ -24,7 +24,7 @@ from pathlib import Path
 
 from .data import (
     SynthConfig, bag_width, dataset_stats, gen_synthetic, load_bags, load_manifest, read_rows,
-    read_text,
+    read_text, write_rows,
 )
 from .baselines import init_baseline
 from .model import KIND, ModelConfig, init_params, load_checkpoint, save_checkpoint
@@ -34,7 +34,6 @@ from .training import (
     TrainConfig,
     evaluate,
     format_metrics_block,
-    format_per_app,
     mean_metric_values,
     split_shuffled,
     split_temporal,
@@ -245,25 +244,23 @@ def _training_run(args, every_model: bool = False, **defaults):
 
 
 def _write_history(history, path: Path):
-    keys = list(history[0].keys())
-    lines = [",".join(keys)]
-    for rec in history:
-        lines.append(",".join(_fmt_cell(rec.get(k)) for k in keys))
-    path.write_text("\n".join(lines) + "\n")
+    header = list(history[0])
+    write_rows(path, header, (
+        [f"{rec[k]:.6f}" if isinstance(rec[k], float) else rec[k] for k in header]
+        for rec in history
+    ))
 
 
-def _fmt_cell(v):
-    if isinstance(v, float):
-        return f"{v:.6f}"
-    return str(v)
+def _write_scores(per_app, path: Path):
+    write_rows(path, ("app_id", "score", "label", "prediction"), (
+        [r["app_id"], f"{r['score']:.6f}", r["label"], r["prediction"]] for r in per_app
+    ))
 
 
 def _write_split(plan, manifest, path: Path):
-    lines = [",".join(SPLIT_HEADER)]
-    for role in ROLES:
-        for idx in getattr(plan, role):
-            lines.append(f"{idx},{manifest[idx].app_id},{role}")
-    path.write_text("\n".join(lines) + "\n")
+    write_rows(path, SPLIT_HEADER, (
+        [idx, manifest[idx].app_id, role] for role in ROLES for idx in getattr(plan, role)
+    ))
 
 
 def _read_split(path, manifest) -> SplitPlan:
@@ -335,7 +332,7 @@ def cmd_evaluate(args) -> int:
     threshold = TrainConfig(**given).threshold
     out = _out_dir(args)
     metrics, per_app = evaluate(params, load_bags(manifest, indices), threshold, map=fork_map)
-    (out / "scores.csv").write_text(format_per_app(per_app))
+    _write_scores(per_app, out / "scores.csv")
     (out / "metrics.txt").write_text(format_metrics_block(metrics))
     write_resolved_config(
         {
@@ -370,7 +367,7 @@ def cmd_protocol_shuffled(args) -> int:
     report = []
     for rep, plan in enumerate(plans):
         metrics, per_app = _run_one_protocol_rep(fit, manifest, plan, settings, settings["model"])
-        (out / f"rep{rep}_scores.csv").write_text(format_per_app(per_app))
+        _write_scores(per_app, out / f"rep{rep}_scores.csv")
         report.append(f"[repetition {rep}]\n" + format_metrics_block(metrics))
         all_metrics.append(metrics)
     mean_block = "[mean over repetitions]\n" + "".join(
@@ -388,7 +385,7 @@ def cmd_protocol_temporal(args) -> int:
     plan = split_temporal(manifest)
     out = _out_dir(args)
     metrics, per_app = _run_one_protocol_rep(fit, manifest, plan, settings, settings["model"])
-    (out / "scores.csv").write_text(format_per_app(per_app))
+    _write_scores(per_app, out / "scores.csv")
     proportions = (
         f"train_fraction={plan.train_fraction:.2f}\n"
         f"test_fraction={plan.test_fraction:.2f}\n"
@@ -406,16 +403,16 @@ def cmd_compare_baselines(args) -> int:
     plan = split_shuffled(manifest, settings["seed"], settings["repetition"])
     _require_scored(plan.test)
     out = _out_dir(args)
-    lines = [",".join(("model",) + RATES)]
+    rows = []
     report = []
     for flag in MODELS:
         metrics, _ = _run_one_protocol_rep(fit, manifest, plan, settings, flag)
-        lines.append(",".join([flag] + [f"{getattr(metrics, k):.2f}" for k in RATES]))
+        rows.append([flag] + [f"{getattr(metrics, k):.2f}" for k in RATES])
         report.append(f"[{flag}]\n" + format_metrics_block(metrics))
-    (out / "comparison.csv").write_text("\n".join(lines) + "\n")
+    write_rows(out / "comparison.csv", ("model",) + RATES, rows)
     (out / "report.txt").write_text("\n".join(report))
     write_resolved_config(settings, out)
-    print("\n".join(lines))
+    print((out / "comparison.csv").read_text(encoding="utf-8"), end="")
     return 0
 
 

@@ -165,16 +165,26 @@ def read_rows(path, header, error):
         raise error(f"{path}:{rows.line_num}: {exc}") from None
 
 
-def save_manifest(manifest: list[ManifestRecord], path, relative_to=None):
-    """Write the manifest CSV; paths may be made relative for portability."""
+def write_rows(path, header, rows):
+    """Write a UTF-8 CSV of ``header`` and then ``rows``, as :func:`read_rows` reads it back.
+
+    A cell is quoted only where it holds a comma, a quote or a ``\\n``, and
+    every line ends at ``\\n``.  Every CSV file the package writes goes
+    through here.
+    """
     with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(MANIFEST_HEADER)
-        for rec in manifest:
-            p = rec.path
-            if relative_to is not None:
-                p = Path(p).relative_to(relative_to)
-            writer.writerow([rec.app_id, rec.label, rec.date.isoformat(), p.as_posix()])
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def save_manifest(manifest: list[ManifestRecord], path):
+    """Write the manifest CSV, each bag path relative to the manifest's directory."""
+    root = Path(path).parent
+    write_rows(path, MANIFEST_HEADER, (
+        [rec.app_id, rec.label, rec.date.isoformat(), Path(rec.path).relative_to(root).as_posix()]
+        for rec in manifest
+    ))
 
 
 def load_manifest(path) -> list[ManifestRecord]:
@@ -189,6 +199,10 @@ def load_manifest(path) -> list[ManifestRecord]:
     for lineno, (app_id, label_s, date_s, rel) in read_rows(path, MANIFEST_HEADER, ManifestError):
         if not app_id:
             raise ManifestError(f"{path}:{lineno}: empty app_id")
+        # write_rows would leave a lone \r unquoted (its lines end at \n), so such an id
+        # would not read back from the split and scores files
+        if "\r" in app_id or "\n" in app_id:
+            raise ManifestError(f"{path}:{lineno}: app_id {app_id!r} holds a line break")
         if app_id in seen_ids:
             raise ManifestError(
                 f"{path}:{lineno}: duplicate app_id {app_id!r} "
@@ -331,7 +345,7 @@ def gen_synthetic(config: SynthConfig, out_dir) -> list[ManifestRecord]:
         records.append(
             ManifestRecord(app_id=bag.app_id, label=bag.label, date=bag.date, path=bag_path)
         )
-    save_manifest(records, out_dir / "manifest.csv", relative_to=out_dir)
+    save_manifest(records, out_dir / "manifest.csv")
     return records
 
 

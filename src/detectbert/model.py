@@ -398,7 +398,7 @@ def load_checkpoint(path):
                 )
             raw = _read_exact(f, 8 * shape[0] * shape[1], f"values of {name!r}", end)
             value = np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
-            if not np.isfinite(value).all():
+            if not all_finite(value):
                 raise CheckpointError(f"tensor {name!r} holds non-finite values")
             tensors[name] = Tensor(value, requires_grad=True)
         missing = declared.keys() - tensors.keys()

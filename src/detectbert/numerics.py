@@ -38,7 +38,7 @@ case measured over thousands of random kernels is ~1e-6 at 24 iterations,
 while 6 iterations leave errors around 1e-2).
 """
 
-# layer_norm's eps, which the model uses and its checkpoints record
+# layer_norm's eps; checkpoints record it, and the loader refuses any other value
 LN_EPS = 1e-5
 
 
@@ -227,62 +227,51 @@ def sum_all(a: Tensor) -> Tensor:
     )
 
 
-def concat_rows(parts) -> Tensor:
+def _concat(parts, axis: int, name: str) -> Tensor:
+    """Stack ``parts`` along ``axis`` (0: rows, 1: columns); the other axis must agree."""
     parts = [as_tensor(p) for p in parts]
-    cols = parts[0].cols
+    other, what = (1, "column") if axis == 0 else (0, "row")
+    size = parts[0].shape[other]
     for p in parts:
-        if p.cols != cols:
-            raise ShapeError(f"concat_rows: column counts differ ({p.cols} vs {cols})")
-    sizes = [p.rows for p in parts]
-    offsets = np.cumsum([0] + sizes)
+        if p.shape[other] != size:
+            raise ShapeError(f"{name}: {what} counts differ ({p.shape[other]} vs {size})")
+    offsets = np.cumsum([p.shape[axis] for p in parts])[:-1]
+    return make_node(
+        np.concatenate([p.value for p in parts], axis=axis), parts,
+        lambda g: tuple(np.split(g, offsets, axis=axis)),
+    )
 
-    def vjp(g):
-        return tuple(g[offsets[i]:offsets[i + 1]] for i in range(len(parts)))
 
-    return make_node(np.concatenate([p.value for p in parts], axis=0), parts, vjp)
+def concat_rows(parts) -> Tensor:
+    return _concat(parts, 0, "concat_rows")
 
 
 def concat_cols(parts) -> Tensor:
-    parts = [as_tensor(p) for p in parts]
-    rows = parts[0].rows
-    for p in parts:
-        if p.rows != rows:
-            raise ShapeError(f"concat_cols: row counts differ ({p.rows} vs {rows})")
-    sizes = [p.cols for p in parts]
-    offsets = np.cumsum([0] + sizes)
+    return _concat(parts, 1, "concat_cols")
+
+
+def _slice(a: Tensor, start: int, stop: int, axis: int, name: str) -> Tensor:
+    """Entries ``[start:stop]`` along ``axis`` (0: rows, 1: columns)."""
+    a = as_tensor(a)
+    if not (0 <= start < stop <= a.shape[axis]):
+        raise ShapeError(f"{name}: [{start}:{stop}] out of range for {a.shape}")
+    shape = a.shape
+    at = (slice(None),) * axis + (slice(start, stop),)
 
     def vjp(g):
-        return tuple(g[:, offsets[i]:offsets[i + 1]] for i in range(len(parts)))
+        out = np.zeros(shape)
+        out[at] = g
+        return (out,)
 
-    return make_node(np.concatenate([p.value for p in parts], axis=1), parts, vjp)
+    return make_node(a.value[at].copy(), (a,), vjp)
 
 
 def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
-    a = as_tensor(a)
-    if not (0 <= start < stop <= a.rows):
-        raise ShapeError(f"slice_rows: [{start}:{stop}] out of range for {a.shape}")
-    shape = a.shape
-
-    def vjp(g):
-        out = np.zeros(shape)
-        out[start:stop] = g
-        return (out,)
-
-    return make_node(a.value[start:stop].copy(), (a,), vjp)
+    return _slice(a, start, stop, 0, "slice_rows")
 
 
 def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
-    a = as_tensor(a)
-    if not (0 <= start < stop <= a.cols):
-        raise ShapeError(f"slice_cols: [{start}:{stop}] out of range for {a.shape}")
-    shape = a.shape
-
-    def vjp(g):
-        out = np.zeros(shape)
-        out[:, start:stop] = g
-        return (out,)
-
-    return make_node(a.value[:, start:stop].copy(), (a,), vjp)
+    return _slice(a, start, stop, 1, "slice_cols")
 
 
 def softmax_rows(m: Tensor) -> Tensor:
@@ -292,8 +281,8 @@ def softmax_rows(m: Tensor) -> Tensor:
     return make_node(y, (m,), lambda g: (softmax_vjp(y, g),))
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = LN_EPS) -> Tensor:
-    """Standardize each row (biased variance, eps inside the square root),
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
+    """Standardize each row (biased variance, ``LN_EPS`` inside the square root),
     then scale by ``gamma`` and shift by ``beta`` (both 1 x cols)."""
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     if gamma.shape != (1, x.cols) or beta.shape != (1, x.cols):
@@ -301,10 +290,8 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = LN_EPS) -> T
             f"layer_norm: gamma {gamma.shape} / beta {beta.shape} "
             f"must be (1, {x.cols})"
         )
-    if eps <= 0:
-        raise ValueError("layer_norm: eps must be positive")
     xv, gv = x.value, gamma.value
-    mean, inv = layer_norm_stats(xv, eps)
+    mean, inv = layer_norm_stats(xv)
     xhat = np.empty(xv.shape)
     out = layer_norm_rows(xv, mean, inv, gv, beta.value, np.empty(xv.shape), xhat)
     return make_node(out, (x, gamma, beta), lambda g: layer_norm_vjp(g, xhat, inv, gv))
@@ -380,8 +367,8 @@ def segment_mean_rows_vjp(g: np.ndarray, bounds: np.ndarray) -> np.ndarray:
 STATS_ROWS = 256
 
 
-def layer_norm_stats(x: np.ndarray, eps: float = LN_EPS):
-    """Each row's mean and 1 / sqrt(variance + eps) (biased variance), as two (rows, 1) arrays.
+def layer_norm_stats(x: np.ndarray):
+    """Each row's mean and 1 / sqrt(variance + LN_EPS) (biased variance), as two (rows, 1) arrays.
 
     The centred squares are formed ``STATS_ROWS`` rows at a time, so no
     array of ``x``'s size is made.
@@ -392,7 +379,7 @@ def layer_norm_stats(x: np.ndarray, eps: float = LN_EPS):
         sq = x[start:start + STATS_ROWS] - mean[start:start + STATS_ROWS]
         sq *= sq
         inv[start:start + STATS_ROWS] = sq.mean(axis=1, keepdims=True)
-    inv += eps
+    inv += LN_EPS
     np.sqrt(inv, out=inv)
     return mean, np.divide(1.0, inv, out=inv)
 

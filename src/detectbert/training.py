@@ -402,13 +402,6 @@ def score_app(params, bags: Sequence[Bag], threshold: float, i: int) -> dict:
 # reports
 
 
-def format_per_app(per_app) -> str:
-    lines = ["app_id,score,label,prediction"]
-    for r in per_app:
-        lines.append(f"{r['app_id']},{r['score']:.6f},{r['label']},{r['prediction']}")
-    return "\n".join(lines) + "\n"
-
-
 def format_metrics_block(metrics: Metrics) -> str:
     """One ``key=value`` line per rate (two decimals), then per confusion count."""
     return "".join(

@@ -245,7 +245,7 @@ class TestAcceptance:
         for pos, rec in enumerate(manifest):
             year = 2019 if pos < 180 else 2020
             rec.date = dt.date(year, rec.date.month, rec.date.day)
-        save_manifest(manifest, data_dir / "manifest.csv", relative_to=data_dir)
+        save_manifest(manifest, data_dir / "manifest.csv")
 
         out = tmp_path / "temporal"
         code = cli_main([

@@ -1,6 +1,7 @@
 """End-to-end command-line tests (in-process, tiny datasets)."""
 
 import argparse
+import csv
 import os
 import struct
 import subprocess
@@ -14,7 +15,9 @@ import pytest
 import detectbert
 from detectbert.cli import TRAIN_DEFAULTS, _field_defaults, build_parser, main, resolve_settings
 from detectbert.baselines import init_baseline
-from detectbert.data import BAG_MAGIC, BAG_VERSION, SynthConfig, load_bags, load_manifest
+from detectbert.data import (
+    BAG_MAGIC, BAG_VERSION, SynthConfig, load_bags, load_manifest, save_manifest,
+)
 from detectbert.model import ModelConfig, init_params, load_checkpoint, save_checkpoint
 from detectbert.training import score_app, split_shuffled
 
@@ -230,6 +233,30 @@ class TestTrainEvaluate:
                    for line in metrics.splitlines())
         assert "tp=" in metrics
 
+    def test_app_ids_with_commas_and_quotes_survive_train_and_evaluate(self, dataset, tmp_path):
+        path = dataset / "manifest.csv"
+        manifest = load_manifest(path)
+        for i, rec in enumerate(manifest):
+            rec.app_id = f'app,{i} "q"'
+        save_manifest(manifest, path)
+        run_dir, eval_dir = tmp_path / "run", tmp_path / "eval"
+        assert run(["train", "--manifest", path, "--out", run_dir,
+                    "--model", "baseline-average"] + FAST) == 0
+        assert run(["evaluate", "--manifest", path, "--checkpoint", run_dir / "checkpoint.dbck",
+                    "--out", eval_dir, "--split-file", run_dir / "split.csv"]) == 0
+
+        def rows(name):
+            with open(name, newline="", encoding="utf-8") as f:
+                return list(csv.reader(f))[1:]
+
+        split, scores = rows(run_dir / "split.csv"), rows(eval_dir / "scores.csv")
+        assert [(int(i), app_id) for i, app_id, _ in split] == \
+            [(int(i), manifest[int(i)].app_id) for i, _, _ in split]
+        assert sorted(int(i) for i, _, _ in split) == list(range(len(manifest)))
+        assert all(len(row) == 4 for row in scores)
+        assert [row[0] for row in scores] == \
+            sorted(app_id for _, app_id, role in split if role == "test")
+
     def test_missing_checkpoint_fails(self, dataset, tmp_path, capsys):
         code = run(["evaluate", "--manifest", dataset / "manifest.csv",
                     "--checkpoint", tmp_path / "nope.dbck", "--out", tmp_path / "e"])
@@ -361,22 +388,46 @@ class TestRejectedInputs:
         assert not (tmp_path / "r" / "history.csv").exists()
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, message",
         [
-            ["train", "--manifest", "{data}/manifest.csv", "--learning-rate", "nan"],
-            ["train", "--manifest", "{data}/manifest.csv", "--epochs", "0",
-             "--model", "baseline-average"],
-            ["train", "--manifest", "{data}/manifest.csv", "--epochs", "1", "--heads", "3"],
-            ["gen-synth", "--witness-rate", "2"],
-            ["evaluate", "--manifest", "{data}/missing.csv", "--checkpoint", "{data}/none.dbck"],
+            (["train", "--manifest", "{data}/manifest.csv", "--learning-rate", "nan"],
+             "learning_rate must be finite"),
+            (["train", "--manifest", "{data}/manifest.csv", "--epochs", "0",
+              "--model", "baseline-average"], "epochs must be >= 1"),
+            (["train", "--manifest", "{data}/manifest.csv", "--epochs", "1", "--heads", "3"],
+             "width 8 not divisible by heads=3"),
+            (["train", "--manifest", "{data}/manifest.csv", "--blocks", "0"],
+             "num_blocks must be >= 1"),
+            (["train", "--manifest", "{data}/header-only.csv"], "manifest has no records"),
+            (["train", "--manifest", "{data}/empty-id.csv"], "empty-id.csv:2: empty app_id"),
+            (["train", "--manifest", "{data}/line-break-id.csv"],
+             "app_id 'a\\rb' holds a line break"),
+            (["gen-synth", "--witness-rate", "2"], "witness_rate must be in (0, 1]"),
+            (["gen-synth", "--bags", "0"], "num_bags must be >= 1"),
+            (["gen-synth", "--dim", "0"], "d must be >= 1"),
+            (["gen-synth", "--bag-size-min", "5", "--bag-size-max", "3"],
+             "need 1 <= bag_size_min <= bag_size_max"),
+            (["gen-synth", "--correlation-strength", "1.5"],
+             "correlation_strength must be in [0, 1]"),
+            (["gen-synth", "--positive-fraction", "1.0"], "positive_fraction must be in (0, 1)"),
+            (["evaluate", "--manifest", "{data}/missing.csv", "--checkpoint", "{data}/none.dbck"],
+             "missing.csv"),
         ],
-        ids=["learning-rate", "epochs", "heads", "witness-rate", "missing-manifest"],
+        ids=["learning-rate", "epochs", "heads", "blocks", "header-only-manifest",
+             "empty-app-id", "line-break-app-id", "witness-rate", "bags", "dim", "bag-sizes",
+             "correlation-strength", "positive-fraction", "missing-manifest"],
     )
-    def test_refused_run_leaves_no_out_directory(self, dataset, tmp_path, capsys, argv):
+    def test_refused_run_leaves_no_out_directory(self, dataset, tmp_path, capsys, argv, message):
+        header = "app_id,label,date,path\n"
+        (dataset / "header-only.csv").write_text(header)
+        (dataset / "empty-id.csv").write_text(header + ",0,2019-01-01,bags/synth-000000.dbmb\n")
+        (dataset / "line-break-id.csv").write_text(
+            header + '"a\rb",0,2019-01-01,bags/synth-000000.dbmb\n', newline=""
+        )
         out = tmp_path / "X"
         code = run([a.format(data=dataset) for a in argv] + ["--out", out])
         assert code == 1
-        single_error_line(capsys)
+        assert message in single_error_line(capsys)
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["protocol-shuffled", "compare-baselines", "evaluate"])
